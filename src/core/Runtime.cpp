@@ -97,7 +97,6 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
   rdd::EngineConfig EC = Config.Engine;
   EC.UseStaticTags = gc::usesStaticTags(Config.Policy);
   Context = std::make_unique<rdd::SparkContext>(*TheHeap, &Monitor, EC);
-  Context->setThreadPool(Pool.get());
   Context->setTelemetry(&Metrics, &Trace);
 
   // Off-heap serialized cache tier (docs/offheap.md). At OffHeapMB == 0 no

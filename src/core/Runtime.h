@@ -87,7 +87,7 @@ struct RuntimeConfig {
   /// Verify the heap after every recovery path: emergency GC, pressure
   /// eviction, task retry. Tests default this on.
   bool VerifyHeapAfterRecovery = false;
-  /// Worker threads shared by stage execution and GC (--threads). 0 means
+  /// Worker threads for the collector's parallel phases (--threads). 0 means
   /// auto: the PANTHERA_THREADS environment variable if set, otherwise
   /// std::thread::hardware_concurrency(). Results and simulated
   /// time/energy are identical at every thread count; only wall-clock

@@ -61,10 +61,8 @@ public:
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(Setup.Config, *Mem);
     C = std::make_unique<gc::Collector>(*H, Setup.Policy, nullptr);
-    if (Opts.Threads >= 1) {
-      Pool = std::make_unique<support::WorkStealingPool>(Opts.Threads);
-      C->setThreadPool(Pool.get());
-    }
+    Pool = std::make_unique<support::WorkStealingPool>(Opts.Threads);
+    C->setThreadPool(Pool.get());
     FaultPlan Plan;
     Plan.Seed = Opts.Seed;
     bool WantFaults = false;

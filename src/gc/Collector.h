@@ -36,6 +36,7 @@
 #include "heap/Heap.h"
 
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -124,12 +125,15 @@ public:
   const GcStats &stats() const { return Stats; }
   PolicyKind policy() const { return Policy; }
 
-  /// Installs the shared work-stealing pool. With a pool the minor GC runs
-  /// the deterministic parallel scavenge (docs/parallelism.md) and the
-  /// major GC marks in parallel; without one (unit tests constructing the
-  /// collector directly) the single-threaded paths are kept verbatim.
-  /// Results and simulated time are invariant in the pool's worker count.
-  void setThreadPool(support::WorkStealingPool *P) { Pool = P; }
+  /// Installs the shared work-stealing pool that runs the minor GC's
+  /// four-phase scavenge and the major GC's claim-based mark
+  /// (docs/parallelism.md). Until one is installed (or after installing
+  /// null) the collector runs the same algorithms on a 1-worker pool of
+  /// its own, which starts no threads. Results and simulated time are
+  /// invariant in the pool's worker count.
+  void setThreadPool(support::WorkStealingPool *P) {
+    Pool = P ? P : OwnPool.get();
+  }
 
   /// Installs the observability sinks (docs/observability.md). After every
   /// collection the collector publishes pause/phase histograms and
@@ -162,25 +166,15 @@ public:
 private:
   //===--- minor GC -------------------------------------------------------===
   bool scavengeHeadroomOk() const;
-  bool inCollectedYoung(uint64_t Addr) const;
-  heap::ObjRef evacuate(heap::ObjRef Ref, MemTag IncomingTag);
-  void scanCopied(uint64_t Addr);
-  void drainWorklist();
-  void scanOldToYoungCards(GcEvent &Event);
-  void scanCard(heap::Space &S, size_t CardIdx);
   void maybeTriggerMajor();
 
-  /// The work-stealing scavenge (claim / plan / copy / fixup phases); runs
-  /// in place of the root-scan + card-scan + drain sequence when a pool is
-  /// installed. Fills the Event phase fields.
+  /// The work-stealing scavenge (claim / plan / copy / fixup phases).
+  /// Fills the Event phase fields.
   void scavengeParallel(GcEvent &Event);
 
   //===--- major GC -------------------------------------------------------===
-  void markFromRoots();
-  /// Work-stealing mark (claim via an atomic mark-bit fetch_or); replaces
-  /// markFromRoots when a pool is installed.
+  /// Work-stealing mark (claim via an atomic mark-bit fetch_or).
   void markParallelFromRoots();
-  void markObject(uint64_t Addr, std::vector<uint64_t> &Stack);
   /// Publishes one finished collection's telemetry (histograms, occupancy
   /// gauges, trace spans). Runs at the serial Events.push_back point.
   void emitTelemetry(const GcEvent &Event);
@@ -208,18 +202,19 @@ private:
   /// are closed over immediately (their addresses do not survive minor
   /// GCs), pushing only their old children.
   void incMarkRef(uint64_t Addr);
-  /// Scans one marked object's slots, charging like markFromRoots.
+  /// Scans one marked object's slots, charging like markParallelFromRoots.
   void scanForMark(uint64_t Addr);
 
   heap::Heap &H;
   PolicyKind Policy;
   AccessMonitor *Monitor;
-  support::WorkStealingPool *Pool = nullptr;
+  /// The 1-worker pool used while no shared pool is installed.
+  std::unique_ptr<support::WorkStealingPool> OwnPool;
+  support::WorkStealingPool *Pool;
   support::MetricsRegistry *Metrics = nullptr;
   support::TraceLog *TraceSink = nullptr;
   memsim::MigrationEngine *Migration = nullptr;
   GcStats Stats;
-  std::vector<uint64_t> Worklist;
   std::unordered_set<uint32_t> MigratedRddIds;
   /// Minor-GC count at the last major GC (re-trigger guard).
   uint64_t MinorsAtLastMajor = 0;

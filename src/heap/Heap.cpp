@@ -649,16 +649,6 @@ void Heap::storeElemsI64(ObjRef Array, uint32_t FirstIndex, uint32_t Count,
   std::memcpy(&Buffer[Addr], Src, Count * 8ull);
 }
 
-double Heap::peekElemF64(ObjRef Array, uint32_t Index) const {
-  assert(header(Array.addr())->kind() == ObjectKind::PrimArray &&
-         header(Array.addr())->Aux == 8 && "not an 8-byte prim array");
-  assert(Index < header(Array.addr())->Length && "index out of range");
-  uint64_t Addr = Array.addr() + sizeof(ObjectHeader) + Index * 8ull;
-  double V;
-  std::memcpy(&V, &Buffer[Addr], sizeof(V));
-  return V;
-}
-
 void Heap::storeElemF64(ObjRef Array, uint32_t Index, double Value) {
   int64_t Bits;
   std::memcpy(&Bits, &Value, sizeof(Bits));
@@ -740,10 +730,11 @@ void Heap::walkObjects(uint64_t Start, uint64_t End,
   }
 }
 
-uint64_t Heap::firstObjectIntersectingCard(Space &S, size_t CardIdx) {
+uint64_t Heap::firstObjectIntersectingCard(Space &S, size_t CardIdx,
+                                           uint64_t Top) {
   uint64_t CardLo = Cards.cardStart(CardIdx);
   uint64_t CardHi = CardLo + CardTable::CardBytes;
-  if (CardLo >= S.top())
+  if (CardLo >= Top)
     return 0;
 
   // Anchor: the nearest known object start strictly before this card (the
@@ -754,14 +745,14 @@ uint64_t Heap::firstObjectIntersectingCard(Space &S, size_t CardIdx) {
   for (size_t C = CardIdx; C > BaseCard;) {
     --C;
     uint64_t A = Cards.firstObjectInCard(C);
-    if (A != CardTable::NoObject && A < S.top()) {
+    if (A != CardTable::NoObject && A < Top) {
       Anchor = A;
       break;
     }
   }
 
   uint64_t Addr = Anchor;
-  while (Addr < S.top()) {
+  while (Addr < Top) {
     uint32_t Size = header(Addr)->SizeBytes;
     if (Addr + Size > CardLo)
       return Addr < CardHi ? Addr : 0;

@@ -269,11 +269,6 @@ public:
   void storeElemsI64(ObjRef Array, uint32_t FirstIndex, uint32_t Count,
                      const int64_t *Src);
 
-  /// Unaccounted element read: the value only, touching neither the cache
-  /// model nor the clock. For capture-phase workers reading stable data
-  /// (broadcast blocks); the accounted read is re-issued at replay.
-  double peekElemF64(ObjRef Array, uint32_t Index) const;
-
   /// Native-region access (accounted, no barrier).
   void nativeWrite(uint64_t Addr, const void *Src, uint64_t Bytes);
   void nativeRead(uint64_t Addr, void *Dst, uint64_t Bytes);
@@ -376,8 +371,13 @@ public:
                    const std::function<void(uint64_t)> &Fn);
 
   /// First object whose byte range intersects card \p CardIdx of \p S,
-  /// or 0 when the card is past the space's allocation frontier.
-  uint64_t firstObjectIntersectingCard(Space &S, size_t CardIdx);
+  /// or 0 when the card is at or past \p Top, the allocation frontier the
+  /// walk stops at (by default the space's current top).
+  uint64_t firstObjectIntersectingCard(Space &S, size_t CardIdx,
+                                       uint64_t Top);
+  uint64_t firstObjectIntersectingCard(Space &S, size_t CardIdx) {
+    return firstObjectIntersectingCard(S, CardIdx, S.top());
+  }
 
   bool inGc() const { return InGcFlag; }
   void setInGc(bool V) { InGcFlag = V; }

@@ -18,8 +18,8 @@
 /// so GC evacuation traffic never counts as application heat) and consumed
 /// by the MigrationEngine (Migration.h), which swaps hot-NVM / cold-DRAM
 /// page runs between collections. Determinism: samples are taken at exact
-/// line-counter crossings of the accounted access stream, which the
-/// engine's serial ordered replay makes identical at every thread count.
+/// line-counter crossings of the accounted access stream, which stages
+/// streaming on the driver make identical at every thread count.
 ///
 //===----------------------------------------------------------------------===//
 

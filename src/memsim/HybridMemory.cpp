@@ -14,11 +14,19 @@
 
 using namespace panthera::memsim;
 
+/// The stream table tracks each stream as one bit of a 64-bit mask, so a
+/// wider configuration is rejected before the table is built.
+static uint32_t checkedPrefetchStreams(unsigned Streams) {
+  PANTHERA_CHECK(Streams <= PrefetchStreamTable::MaxStreams,
+                 "memsim prefetcher tracks at most 64 streams");
+  return Streams;
+}
+
 HybridMemory::HybridMemory(uint64_t TotalBytes, const MemoryTechnology &Tech,
                            const CacheConfig &CacheCfg, double EpochNs,
                            support::MetricsRegistry *Reg)
     : Map(TotalBytes), Tech(Tech), Cache(CacheCfg), EpochNs(EpochNs),
-      Prefetch(Tech.PrefetchStreams) {
+      Prefetch(checkedPrefetchStreams(Tech.PrefetchStreams)) {
   // recordTraffic divides by EpochNs and casts the quotient to size_t; a
   // zero, negative, or non-finite epoch turns that cast into undefined
   // behavior, so reject it at the source.

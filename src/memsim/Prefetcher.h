@@ -17,15 +17,14 @@
 ///     order) is retrained to expect the successor.
 ///
 /// The linear scan is O(N) per miss and sat directly on the simulator's
-/// hottest path. For N <= 64 streams this table keeps the same decisions
-/// with O(1) amortized work: an open-addressing hash table (fixed 256
-/// slots, linear probing, backward-shift deletion -- no allocation on the
-/// access path) from expected line to a bitmask of the streams expecting
-/// it (lowest set bit == lowest index, matching the scan order), plus an
-/// intrusive recency list whose head is the LRU victim (initialized
-/// 0..N-1 so initial ties also pop in index order). For N > 64 it falls
-/// back to the reference scan, so behavior is identical at any
-/// configuration.
+/// hottest path. This table keeps the same decisions with O(1) amortized
+/// work: an open-addressing hash table (fixed 256 slots, linear probing,
+/// backward-shift deletion -- no allocation on the access path) from
+/// expected line to a bitmask of the streams expecting it (lowest set bit
+/// == lowest index, matching the scan order), plus an intrusive recency
+/// list whose head is the LRU victim (initialized 0..N-1 so initial ties
+/// also pop in index order). The bitmask bounds N at 64 streams;
+/// HybridMemory rejects wider configurations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,16 +42,13 @@ namespace memsim {
 /// Stream-prefetcher state machine; access() per missed line address.
 class PrefetchStreamTable {
 public:
-  /// Bitmask width; stream counts above this use the linear fallback.
-  static constexpr uint32_t MaxFastStreams = 64;
+  /// Bitmask width: the most streams the table can track.
+  static constexpr uint32_t MaxStreams = 64;
 
+  /// \p NumStreams must not exceed MaxStreams.
   explicit PrefetchStreamTable(uint32_t NumStreams) : N(NumStreams) {
     if (N == 0)
       return;
-    if (N > MaxFastStreams) {
-      Linear.assign(N, Stream());
-      return;
-    }
     NextLine.assign(N, NoLine);
     Table.assign(TableSlots, Slot());
     Prev.resize(N);
@@ -71,8 +67,6 @@ public:
   bool access(uint64_t LineAddr) {
     if (N == 0)
       return false;
-    if (!Linear.empty())
-      return linearAccess(LineAddr);
 
     size_t S = findSlot(LineAddr);
     if (Table[S].Mask != 0) {
@@ -98,11 +92,6 @@ public:
   }
 
 private:
-  struct Stream {
-    uint64_t NextLine = ~0ull;
-    uint64_t LastUse = 0;
-  };
-
   static constexpr uint64_t NoLine = ~0ull;
   static constexpr uint32_t NoIndex = ~0u;
 
@@ -160,24 +149,6 @@ private:
     Tail = I;
   }
 
-  /// Reference algorithm, kept for stream counts wider than the bitmask.
-  bool linearAccess(uint64_t LineAddr) {
-    ++StreamClock;
-    size_t Lru = 0;
-    for (size_t I = 0; I != Linear.size(); ++I) {
-      if (Linear[I].NextLine == LineAddr) {
-        Linear[I].NextLine = LineAddr + 1;
-        Linear[I].LastUse = StreamClock;
-        return true;
-      }
-      if (Linear[I].LastUse < Linear[Lru].LastUse)
-        Lru = I;
-    }
-    Linear[Lru].NextLine = LineAddr + 1;
-    Linear[Lru].LastUse = StreamClock;
-    return false;
-  }
-
   /// Open-addressing table entry; Mask == 0 marks an empty slot (a live
   /// expectation always has at least one stream bit set).
   struct Slot {
@@ -193,7 +164,7 @@ private:
   }
 
   uint32_t N;
-  /// Fast path (N <= 64): expected line -> bitmask of streams expecting it.
+  /// Expected line -> bitmask of streams expecting it.
   std::vector<Slot> Table;
   std::vector<uint64_t> NextLine;
   /// Intrusive recency list over stream indices; Head is the LRU victim.
@@ -201,9 +172,6 @@ private:
   std::vector<uint32_t> Next;
   uint32_t Head = NoIndex;
   uint32_t Tail = NoIndex;
-  /// Fallback path (N > 64): the original linear table.
-  std::vector<Stream> Linear;
-  uint64_t StreamClock = 0;
 };
 
 } // namespace memsim

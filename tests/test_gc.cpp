@@ -397,6 +397,8 @@ TEST_F(GcTest, EventLogCountsPromotedBytes) {
 /// survivors can neither tenure by age nor be promoted, so their age must
 /// pin at 255 across further minor GCs instead of wrapping to 0 (which
 /// restarts the tenuring clock and strands hot objects in the nursery).
+/// Without \p Parallel the collector runs on the 1-worker pool it owns;
+/// with it, on an installed 4-worker pool.
 void runAgeSaturationTest(bool Parallel) {
   HeapConfig HC = makeHeapConfig(PolicyKind::Panthera, 2, 1.0 / 3.0);
   HC.NativeBytes = PaperGB / 4;

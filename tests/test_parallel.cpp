@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
+#include "rdd/Broadcast.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
@@ -137,8 +138,8 @@ TEST(ThreadCountInvariance, KMeansIsByteIdenticalAcrossThreadCounts) {
 
 //===----------------------------------------------------------------------===
 // Fault-tolerance pipeline: injection + recovery stay deterministic at
-// every thread count (fault runs execute stages serially by design, but
-// the GC underneath them still runs on the pool).
+// every thread count (stages run on the driver; the GC underneath them
+// runs on the pool).
 //===----------------------------------------------------------------------===
 
 SourceData makeData(int64_t N, uint32_t Partitions = 4) {
@@ -202,6 +203,78 @@ TEST(ThreadCountInvariance, FaultRecoveryIsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(Got.Results[I].Key, Ref.Results[I].Key);
       EXPECT_EQ(Got.Results[I].Val, Ref.Results[I].Val);
     }
+  }
+}
+
+//===----------------------------------------------------------------------===
+// Source-rooted narrow stages: count / reduce / collect over source -> map
+// -> filter, with a broadcast read inside the map -- the one shape the
+// deleted capture/replay engine ran (docs/parallelism.md). Results and the
+// simulated clock are pinned exactly, at 1 and 4 threads.
+//===----------------------------------------------------------------------===
+
+struct NarrowStageObservation {
+  int64_t Count = 0;
+  double Sum = 0.0;
+  std::vector<SourceRecord> Rows;
+  uint64_t MinorGcs = 0;
+  double TotalNs = 0.0;
+  double GcNs = 0.0;
+  double Joules = 0.0;
+};
+
+NarrowStageObservation runNarrowStages(unsigned Threads, SourceData &Data) {
+  core::RuntimeConfig Config;
+  Config.Policy = gc::PolicyKind::Panthera;
+  Config.HeapPaperGB = 2;
+  Config.Engine.NumPartitions = 4;
+  Config.NumThreads = Threads;
+  core::Runtime RT(Config);
+
+  Broadcast Weights(RT.heap(), {0.5, 1.5, 2.5, 3.5});
+  Rdd Chain = RT.ctx()
+                  .source(&Data)
+                  .map([Weights](RddContext &C, ObjRef T) {
+                    int64_t K = C.key(T);
+                    double W = Weights.get(static_cast<uint32_t>(K % 4));
+                    return C.makeTuple(K, C.value(T) * W);
+                  })
+                  .filter([](RddContext &C, ObjRef T) {
+                    return C.key(T) % 3 != 0;
+                  });
+  NarrowStageObservation Obs;
+  Obs.Count = Chain.count();
+  Obs.Sum = Chain.reduce([](double A, double B) { return A + B; });
+  Obs.Rows = Chain.collect();
+  Obs.MinorGcs = RT.collector().stats().MinorGcs;
+  RT.publishMetrics();
+  const support::MetricsRegistry &M = RT.metrics();
+  Obs.TotalNs = M.gaugeValue("time.total_ns");
+  Obs.GcNs = M.gaugeValue("time.gc_ns");
+  Obs.Joules = M.gaugeValue("energy.total_joules");
+  return Obs;
+}
+
+TEST(ThreadCountInvariance, NarrowSourceStagesKeepTheirClock) {
+  SourceData Data = makeData(20000);
+  for (unsigned T : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(T));
+    NarrowStageObservation Obs = runNarrowStages(T, Data);
+    EXPECT_EQ(Obs.Count, 13333);
+    EXPECT_EQ(Obs.Sum, 0x1.fc9eb49p+28);
+    ASSERT_EQ(Obs.Rows.size(), 13333u);
+    int64_t KeySum = 0;
+    double ValSum = 0.0;
+    for (const SourceRecord &R : Obs.Rows) {
+      KeySum += R.Key;
+      ValSum += R.Val;
+    }
+    EXPECT_EQ(KeySum, 133326667);
+    EXPECT_EQ(ValSum, Obs.Sum);
+    EXPECT_EQ(Obs.MinorGcs, 23u);
+    EXPECT_EQ(Obs.TotalNs, 0x1.73bd8f555bbp+22);
+    EXPECT_EQ(Obs.GcNs, 0x1.1111111111111p+2);
+    EXPECT_EQ(Obs.Joules, 0x1.013026636e171p-8);
   }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: configure, build, and run the full test suite in the plain
 # configuration, again under AddressSanitizer + UBSan
-# (-DPANTHERA_SANITIZE=address,undefined), and again under ThreadSanitizer
+# (-DPANTHERA_SANITIZE=address,undefined, halting on the first UBSan
+# report), and again under ThreadSanitizer
 # (-DPANTHERA_SANITIZE=thread) with PANTHERA_THREADS=8 so the shared
 # work-stealing pool, the parallel scavenge, and the parallel mark run
 # with real worker threads under the race detector. Run from the
@@ -187,7 +188,10 @@ cmp "${obs}/oh0.sum" "${obs}/oh1.sum"
 grep -q '"pass": true' "${obs}/BENCH_sercache.json"
 echo "ci: --offheap-mb=0 byte-identical, sercache ablation floors met"
 
-run_config build-san -DPANTHERA_SANITIZE=address,undefined
+# UBSan halts on its first report, so any undefined behavior fails CI
+# instead of only printing.
+run_config build-san -DPANTHERA_SANITIZE=address,undefined \
+  -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
 
 # The off-heap tier under ASan/UBSan: the region allocator's carve/
 # recycle arithmetic, the stub payload plumbing, and the eviction/spill
@@ -222,7 +226,7 @@ fuzz=./build-san/tools/gc_fuzz
 "${fuzz}" --seed=1 --ops=27 --config=split
 "${fuzz}" --seed=1 --ops=93 --config=dram
 "${fuzz}" --seed=1 --ops=397 --config=pressure --threads=8
-"${fuzz}" --seed=3 --ops=465 --config=pressure --threads=0
+"${fuzz}" --seed=3 --ops=465 --config=pressure --threads=1
 "${fuzz}" --seed=1 --ops=93 --config=split --executors=2
 # The incremental config interleaves explicit mark steps with mutation so
 # the SATB write barrier and the finishing major run against the shadow

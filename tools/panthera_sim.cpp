@@ -30,9 +30,10 @@
 /// fetch. Fault runs exit 2 if the workload still fails after the staged
 /// fallback and retries.
 ///
-/// --threads=N sets the worker-thread count shared by stage execution and
-/// the parallel collector (docs/parallelism.md). 0 (the default) means
-/// auto: $PANTHERA_THREADS if set, otherwise the hardware thread count.
+/// --threads=N sets the worker-thread count of the parallel collector
+/// (docs/parallelism.md); stages always stream on the driver. 0 (the
+/// default) means auto: $PANTHERA_THREADS if set, otherwise the hardware
+/// thread count.
 /// Results and simulated time/energy are identical at every N; only
 /// wall-clock time changes.
 ///
@@ -303,8 +304,8 @@ int main(int Argc, char **Argv) {
           "  --ratio=F          DRAM : total memory (default 0.333)\n"
           "  --nursery=F        nursery fraction of the heap\n"
           "  --scale=F          dataset scale factor (default 1.0)\n"
-          "  --threads=N        worker threads shared by stage execution\n"
-          "                     and the parallel GC; 0 = auto from\n"
+          "  --threads=N        worker threads of the parallel GC (stages\n"
+          "                     run on the driver); 0 = auto from\n"
           "                     $PANTHERA_THREADS or the hardware thread\n"
           "                     count. Output is identical at every N;\n"
           "                     only wall-clock time changes.\n"
