@@ -13,9 +13,13 @@
 ///   run_driver file.spark [iters]
 ///   run_driver --demo [iters]          # built-in PageRank-shaped demo
 ///
+/// A malformed program, or one that uses an undefined variable, prints
+/// `line:col: error: ...` to stderr and exits 1.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/DslDriver.h"
+#include "support/Errors.h"
 
 #include <cstdio>
 #include <cstring>
@@ -75,7 +79,13 @@ int main(int Argc, char **Argv) {
   Driver.setLoopBound("iters", Iters);
   Driver.setLoopBound("n", Iters);
 
-  core::DriverResult Result = Driver.run(Source);
+  core::DriverResult Result;
+  try {
+    Result = Driver.run(Source);
+  } catch (const EngineError &E) {
+    std::fprintf(stderr, "run_driver: %s\n", E.what());
+    return 1;
+  }
 
   std::printf("inferred placement:\n");
   for (const auto &[Var, Tag] : Result.Tags)

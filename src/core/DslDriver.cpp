@@ -9,9 +9,7 @@
 #include "analysis/SparkOps.h"
 #include "dsl/Parser.h"
 #include "rdd/StorageLevel.h"
-
-#include <cstdio>
-#include <cstdlib>
+#include "support/Errors.h"
 
 using namespace panthera;
 using namespace panthera::core;
@@ -129,9 +127,8 @@ private:
   }
 
   [[noreturn]] void fail(const dsl::SourceLoc &Loc, const char *What) {
-    std::fprintf(stderr, "dsl driver %u:%u: error: %s\n", Loc.Line,
-                 Loc.Column, What);
-    std::abort();
+    throw EngineError(std::to_string(Loc.Line) + ":" +
+                      std::to_string(Loc.Column) + ": error: " + What);
   }
 
   Rdd lookup(const std::string &Var, const dsl::SourceLoc &Loc) {

@@ -68,8 +68,10 @@ public:
     LoopBounds[Symbol] = Count;
   }
 
-  /// Parses, analyzes, installs tags, and executes \p Source. Aborts on
-  /// parse errors; unknown builtin names fall back to their defaults.
+  /// Parses, analyzes, installs tags, and executes \p Source. Throws
+  /// EngineError (`line:col: error: message`) on parse errors and on uses
+  /// of undefined variables; unknown builtin names fall back to their
+  /// defaults.
   DriverResult run(std::string_view Source,
                    const analysis::AnalysisOptions &Options = {});
 

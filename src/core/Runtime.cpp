@@ -14,9 +14,6 @@
 #include <algorithm>
 #include <string>
 
-#include <cstdio>
-#include <cstdlib>
-
 using namespace panthera;
 using namespace panthera::core;
 
@@ -83,25 +80,14 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
     }
   }
 
-  // NG2C-style allocation-site pretenuring: consult the AccessMonitor's
-  // per-RDD call counts (the same profile that feeds dynamic migration) to
-  // pretenure smaller arrays of long-lived RDDs. Off by default so every
-  // existing configuration is byte-identical.
-  if (Config.PretenureMinCalls > 0) {
-    uint32_t Min = Config.PretenureMinCalls;
-    gc::AccessMonitor *Mon = &Monitor;
-    TheHeap->setPretenureOracle(
-        [Mon, Min](uint32_t RddId) { return Mon->callsInWindow(RddId) >= Min; });
-  }
-
   rdd::EngineConfig EC = Config.Engine;
   EC.UseStaticTags = gc::usesStaticTags(Config.Policy);
   Context = std::make_unique<rdd::SparkContext>(*TheHeap, &Monitor, EC);
   Context->setTelemetry(&Metrics, &Trace);
 
-  // Off-heap serialized cache tier (docs/offheap.md). At OffHeapMB == 0 no
-  // tier exists: OFF_HEAP persists run the seed NativeParts path and the
-  // exports (metrics key set included) stay byte-identical.
+  // Off-heap serialized cache tier (docs/offheap.md), the only OFF_HEAP
+  // store. At OffHeapMB == 0 no tier exists: OFF_HEAP persists throw and
+  // every other run's exports (metrics key set included) are unchanged.
   if (Config.OffHeapMB > 0) {
     OffHeapTier = std::make_unique<offheap::OffHeapCache>(
         *TheHeap, static_cast<uint64_t>(Config.OffHeapMB) * PaperMB,
@@ -163,10 +149,11 @@ Runtime::analyzeAndInstall(std::string_view DslSource,
   std::vector<dsl::Diagnostic> Diags;
   dsl::Program P = dsl::parseDriverProgram(DslSource, Diags);
   if (!Diags.empty()) {
+    std::string Msg;
     for (const dsl::Diagnostic &D : Diags)
-      std::fprintf(stderr, "driver dsl %u:%u: error: %s\n", D.Loc.Line,
-                   D.Loc.Column, D.Message.c_str());
-    std::abort();
+      Msg += (Msg.empty() ? "" : "\n") + std::to_string(D.Loc.Line) + ":" +
+             std::to_string(D.Loc.Column) + ": error: " + D.Message;
+    throw EngineError(Msg);
   }
   Tags = analysis::inferMemoryTags(P, Options);
   Context->setAnalysis(&Tags);
@@ -255,9 +242,6 @@ void Runtime::publishMetrics() {
     C("gc.incremental.satb_drained", R.Gc.IncSatbDrained);
     C("gc.incremental.objects_marked", R.Gc.IncObjectsMarked);
   }
-  // Allocation-site pretenuring totals (gated like the oracle itself).
-  if (Config.PretenureMinCalls > 0)
-    C("heap.arrays_oracle_pretenured", HS.ArraysOraclePretenured);
 
   // Hotness/migration totals (only under --policy=dynamic with sampling
   // on: every other configuration must export the exact seed key set).

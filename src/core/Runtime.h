@@ -77,10 +77,10 @@ struct RuntimeConfig {
   /// Off-heap native region, paper GB.
   unsigned NativePaperGB = 16;
   /// Off-heap serialized cache tier budget (--offheap-mb), in paper MB,
-  /// carved out of the native region (docs/offheap.md). 0 (the default)
-  /// constructs no tier at all: OFF_HEAP persists run the seed
-  /// NativeParts path and the run is byte-identical, including the
-  /// metrics-JSON key set.
+  /// carved out of the native region (docs/offheap.md). The tier is the
+  /// only OFF_HEAP store. 0 (the default) constructs no tier: an OFF_HEAP
+  /// persist throws EngineError, and every other run exports the same
+  /// metrics-JSON key set as with no tier code at all.
   unsigned OffHeapMB = 0;
   /// Deterministic fault-injection plan (all sites disabled by default).
   FaultPlan Faults;
@@ -119,11 +119,6 @@ struct RuntimeConfig {
   /// smaller paces the cycle harder, finishing the trace sooner at the
   /// cost of more (still budget-bounded) pauses. Ignored at MaxPauseUs=0.
   uint32_t IncStepAllocs = 64;
-  /// NG2C-style allocation-site pretenuring (--pretenure-calls): a tagged
-  /// array below the large-array threshold is pretenured when its RDD's
-  /// AccessMonitor call count in the current window reaches this value. 0
-  /// (the default) disables the oracle entirely.
-  uint32_t PretenureMinCalls = 0;
 };
 
 /// Summary of one finished run.
@@ -168,8 +163,8 @@ public:
 
   /// Parses \p DslSource, runs the §3 inference (plus any enabled
   /// extensions), and installs the result on the engine (only Panthera
-  /// consumes the tags). Aborts on parse errors -- driver programs ship
-  /// with the workloads and must be valid.
+  /// consumes the tags). Throws EngineError carrying one
+  /// `line:col: error: message` line per parse diagnostic.
   const analysis::AnalysisResult &analyzeAndInstall(
       std::string_view DslSource,
       const analysis::AnalysisOptions &Options = {});

@@ -68,7 +68,6 @@ struct GcEvent {
   uint64_t RddArraysMigrated = 0;
 
   // Minor-GC phases.
-  double RootTaskNs = 0.0;        ///< Stack + persistent root scanning.
   double DramToYoungTaskNs = 0.0; ///< Dirty-card scan of old-gen DRAM.
   double NvmToYoungTaskNs = 0.0;  ///< Dirty-card scan of old-gen NVM.
   double DrainNs = 0.0;           ///< Copy/trace worklist draining.

@@ -159,20 +159,16 @@ struct RddNode {
   /// (the _SER storage levels). GC-cheap; reads pay deserialization.
   bool SerializedInMemory = false;
   /// True when partitions live in the off-heap region tier behind
-  /// GC-leaf stub objects (OFF_HEAP with --offheap-mb > 0). The top/dir
+  /// GC-leaf stub objects (OFF_HEAP; needs --offheap-mb > 0). The top/dir
   /// structure holds one OffHeapStub per partition; a stub whose native
   /// address is offheap::NoAddress was spilled to DiskParts.
   bool OffHeapStubs = false;
   size_t TopRootId = SIZE_MAX; ///< Persistent root of the top object.
   /// LRU clock for storage eviction (bumped on every materialized read).
   uint64_t LastUse = 0;
-  /// OFF_HEAP / DISK_ONLY backing: per-partition (native address, count).
-  struct NativePartition {
-    uint64_t Addr = 0;
-    uint32_t Count = 0;
-  };
-  std::vector<NativePartition> NativeParts;
-  std::vector<std::vector<SourceRecord>> DiskParts; ///< DISK_ONLY rows.
+  /// Executor-"disk" rows: DISK_ONLY, evicted MEMORY_AND_DISK, and OFF_HEAP
+  /// partitions spilled behind a NoAddress stub.
+  std::vector<std::vector<SourceRecord>> DiskParts;
 };
 
 using RddRef = std::shared_ptr<RddNode>;
@@ -296,10 +292,10 @@ public:
   /// reducers fetch remote blocks through the simulated fabric. The data
   /// plane (bucket contents and order) is identical either way.
   void setCluster(cluster::Cluster *C) { Clstr = C; }
-  /// Installs the off-heap region cache tier (docs/offheap.md). Null (the
-  /// default, --offheap-mb=0) keeps the seed OFF_HEAP materialization
-  /// path byte-identical; with a tier, OFF_HEAP partitions serialize into
-  /// regions behind GC-leaf stub objects.
+  /// Installs the off-heap region cache tier (docs/offheap.md), the only
+  /// OFF_HEAP store: OFF_HEAP partitions serialize into regions behind
+  /// GC-leaf stub objects. Null (the default, --offheap-mb=0) makes an
+  /// OFF_HEAP persist throw EngineError.
   void setOffHeapCache(offheap::OffHeapCache *C) { OffHeap = C; }
   /// Installs the observability sinks (docs/observability.md): stage and
   /// per-partition task spans on the engine track, stamped with the

@@ -274,6 +274,12 @@ Rdd SparkContext::derive(OpKind Op, std::vector<RddRef> Parents) {
 
 void SparkContext::persist(const RddRef &R, StorageLevel Level,
                            const std::string &Var) {
+  // OFF_HEAP has exactly one store, the region tier: without a budget
+  // there is nowhere to put the serialized partitions.
+  if (Level == StorageLevel::OffHeapSer && !OffHeap)
+    throw EngineError("OFF_HEAP persist of RDD " + std::to_string(R->Id) +
+                      (Var.empty() ? "" : " (" + Var + ")") +
+                      " needs an off-heap tier: set --offheap-mb > 0");
   R->PersistRequested = true;
   R->Level = Level;
   R->VarName = Var;
@@ -291,7 +297,7 @@ void SparkContext::unpersist(const RddRef &R) {
 }
 
 void SparkContext::dropMaterialized(const RddRef &R) {
-  if (R->OffHeapStubs && OffHeap && R->TopRootId != SIZE_MAX) {
+  if (R->OffHeapStubs && R->TopRootId != SIZE_MAX) {
     // Release every region the RDD's stubs still hold before the stubs
     // become unreachable. Raw (unaccounted) reads: the stub walk is driver
     // bookkeeping, not simulated mutator traffic.
@@ -318,7 +324,6 @@ void SparkContext::dropMaterialized(const RddRef &R) {
     H.removePersistentRoot(R->TopRootId);
     R->TopRootId = SIZE_MAX;
   }
-  R->NativeParts.clear();
   R->DiskParts.clear();
   R->SerializedInMemory = false;
   R->OffHeapStubs = false;
@@ -718,8 +723,7 @@ void SparkContext::streamMaterialized(const RddRef &R, uint32_t P,
     // Off-heap region tier: the on-heap stub is the only object the read
     // touches before the serialized bytes stream out of the region. A
     // stub retargeted to NoAddress was spilled to executor "disk".
-    PANTHERA_CHECK(OffHeap && R->TopRootId != SIZE_MAX,
-                   "off-heap RDD lost its tier or root");
+    PANTHERA_CHECK(R->TopRootId != SIZE_MAX, "off-heap RDD lost its root");
     GcRoot Top(H, H.persistentRoot(R->TopRootId));
     GcRoot Dir(H, H.loadRef(Top.get(), 0));
     GcRoot Stub(H, H.loadRef(Dir.get(), P));
@@ -742,22 +746,6 @@ void SparkContext::streamMaterialized(const RddRef &R, uint32_t P,
                            sizeof(SourceRecord));
     for (const SourceRecord &Row : Rows) {
       Mem.addCpuWorkNs(Config.PerRecordCpuNs + Config.ShuffleRecordCpuNs);
-      Sink(Ctx.makeTuple(Row.Key, Row.Val));
-    }
-    return;
-  }
-  if (!R->NativeParts.empty()) {
-    // OFF_HEAP: deserialize records from native NVM into young tuples.
-    // The whole partition is read through one record-granular range (the
-    // native region never moves, so hoisting the reads ahead of the
-    // allocating sink is safe) and the per-record deserialization CPU is
-    // charged in the sink loop.
-    const RddNode::NativePartition &Part = R->NativeParts[P];
-    std::vector<SourceRecord> Rows(Part.Count);
-    H.nativeReadRecords(Part.Addr, Rows.data(), Part.Count,
-                        sizeof(SourceRecord));
-    for (const SourceRecord &Row : Rows) {
-      Mem.addCpuWorkNs(Config.PerRecordCpuNs);
       Sink(Ctx.makeTuple(Row.Key, Row.Val));
     }
     return;
@@ -980,8 +968,7 @@ void SparkContext::materializeNarrow(const RddRef &R,
   if (Fusion && Fusion->Rollback)
     FusionRollback = Fusion->Rollback;
 
-  if (R->Level == StorageLevel::OffHeapSer && R->PersistRequested &&
-      OffHeap) {
+  if (R->Level == StorageLevel::OffHeapSer && R->PersistRequested) {
     // Off-heap region tier (docs/offheap.md): serialize each partition
     // once into a region, then root one GC-leaf stub per partition. The
     // serialized bytes never appear in trace or compaction work; only the
@@ -1046,33 +1033,6 @@ void SparkContext::materializeNarrow(const RddRef &R,
     if (std::find(OffHeapStore.begin(), OffHeapStore.end(), R) ==
         OffHeapStore.end())
       OffHeapStore.push_back(R);
-    return;
-  }
-  if (R->Level == StorageLevel::OffHeapSer && R->PersistRequested) {
-    // Serialize into native NVM memory (the paper places all off-heap
-    // native memory in NVM, §4.1).
-    R->NativeParts.assign(P, {});
-    for (uint32_t I = 0; I != P; ++I) {
-      Place(I);
-      runTask(
-          Stage, R->Id, I,
-          [&] {
-            std::vector<SourceRecord> Rows;
-            RddContext Ctx(H);
-            streamPartition(R, I, [&](ObjRef T) {
-              Rows.push_back({Ctx.key(T), Ctx.value(T)});
-            });
-            uint64_t Addr = H.allocNative(Rows.size() * sizeof(SourceRecord));
-            for (size_t J = 0; J != Rows.size(); ++J)
-              H.nativeWrite(Addr + J * sizeof(SourceRecord), &Rows[J],
-                            sizeof(SourceRecord));
-            R->NativeParts[I] = {Addr, static_cast<uint32_t>(Rows.size())};
-          },
-          nullptr, ExecPtr(I));
-      Placed(I);
-    }
-    R->Materialized = true;
-    ++Stats.RddsMaterialized;
     return;
   }
   if (R->Level == StorageLevel::DiskOnly && R->PersistRequested) {

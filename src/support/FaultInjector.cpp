@@ -7,6 +7,7 @@
 #include "support/FaultInjector.h"
 
 #include "support/CliParse.h"
+#include "support/Random.h"
 
 using namespace panthera;
 

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/DslDriver.h"
+#include "support/Errors.h"
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,30 @@ program t {
           .reduceByKey([](double A, double B) { return A + B; })
           .reduce([](double A, double B) { return A + B; });
   EXPECT_DOUBLE_EQ(lastAction(R), Hand);
+}
+
+// Bad driver programs are typed errors carrying `line:col: error:`, not
+// process aborts.
+TEST_F(DslDriverTest, MalformedProgramThrowsEngineError) {
+  try {
+    Driver->run("program t { a = textFile(\"in\").map(; }");
+    FAIL() << "a malformed program must throw";
+  } catch (const EngineError &E) {
+    EXPECT_NE(std::string(E.what()).find(": error: "), std::string::npos)
+        << E.what();
+  }
+}
+
+TEST_F(DslDriverTest, UndefinedVariableThrowsEngineError) {
+  try {
+    Driver->run("program t { a = b.map(); a.count(); }");
+    FAIL() << "an undefined variable must throw";
+  } catch (const EngineError &E) {
+    EXPECT_NE(std::string(E.what()).find("1:17: error: use of an undefined "
+                                         "RDD variable"),
+              std::string::npos)
+        << E.what();
+  }
 }
 
 } // namespace

@@ -30,11 +30,13 @@ class EngineExtras : public ::testing::Test {
 protected:
   void SetUp() override { rebuild(16); }
 
-  void rebuild(unsigned HeapGB, uint32_t SpillRecords = 16384) {
+  void rebuild(unsigned HeapGB, uint32_t SpillRecords = 16384,
+               unsigned OffHeapMB = 0) {
     core::RuntimeConfig Config;
     Config.Policy = gc::PolicyKind::Panthera;
     Config.HeapPaperGB = HeapGB;
     Config.Engine.ShuffleSpillRecords = SpillRecords;
+    Config.OffHeapMB = OffHeapMB;
     RT = std::make_unique<core::Runtime>(Config);
   }
 
@@ -219,6 +221,7 @@ TEST_F(EngineExtras, VerifierCatchesMisalignedReference) {
 }
 
 TEST_F(EngineExtras, OffHeapDataLandsInNativeNvmAndSurvivesGc) {
+  rebuild(16, 16384, /*OffHeapMB=*/256);
   SourceData Data = distinctKeys(4000);
   Rdd R = RT->ctx()
               .source(&Data)

@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -300,20 +299,6 @@ TEST_F(FaultInjectionTest, MaxFiresHoldsUnderConcurrency) {
   EXPECT_EQ(Fired.load(), 5u);
   EXPECT_EQ(Inj.fired(FaultSite::ShuffleFetch), 5u);
   EXPECT_EQ(Inj.occurrences(FaultSite::ShuffleFetch), 1600u);
-}
-
-TEST_F(FaultInjectionTest, ChildSeedsAreDecorrelated) {
-  FaultPlan Plan;
-  FaultInjector Inj(Plan);
-  std::set<uint64_t> Seeds;
-  for (uint64_t W = 0; W != 16; ++W)
-    Seeds.insert(Inj.childSeed(W));
-  EXPECT_EQ(Seeds.size(), 16u) << "per-worker streams must not collide";
-  EXPECT_EQ(Seeds.count(Plan.Seed), 0u)
-      << "child streams must not replay the plan stream";
-  // Stable across injector instances (it is a pure function of the plan).
-  FaultInjector Again(Plan);
-  EXPECT_EQ(Inj.childSeed(3), Again.childSeed(3));
 }
 
 } // namespace

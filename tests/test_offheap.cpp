@@ -9,13 +9,15 @@
 /// recycling), the OffHeapCache round trip and eviction order, the
 /// GC-leaf-stub contract (cached bytes contribute zero trace work), the
 /// engine integration behind StorageLevel::OffHeapSer, and the
-/// --offheap-mb=0 inertness the byte-identity CI check relies on.
+/// --offheap-mb=0 contract: OFF_HEAP persists fail and nothing else
+/// changes, which the byte-identity CI check relies on.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
 #include "gc/HeapVerifier.h"
 #include "offheap/OffHeapCache.h"
+#include "support/Errors.h"
 
 #include <gtest/gtest.h>
 
@@ -308,16 +310,30 @@ TEST_F(OffHeapTest, BudgetPressureSpillsToDiskAndStaysCorrect) {
   EXPECT_DOUBLE_EQ(Sum, Expected);
 }
 
-TEST_F(OffHeapTest, TierOffIsInert) {
+// The region tier is the only OFF_HEAP store: without a budget the persist
+// itself fails, before it marks the RDD, and the RDD stays usable.
+TEST_F(OffHeapTest, PersistWithoutTierThrows) {
   makeRuntime(/*OffHeapMB=*/0);
   EXPECT_EQ(RT->offHeapCache(), nullptr);
   SourceData Data = makeData(2000);
-  Rdd R = persistOffHeap(&Data);
+  Rdd M = RT->ctx().source(&Data).map([](RddContext &C, ObjRef T) {
+    return C.makeTuple(C.key(T), C.value(T));
+  });
+  EXPECT_THROW(M.persistAs("oh", rdd::StorageLevel::OffHeapSer),
+               EngineError);
+  EXPECT_FALSE(M.node()->PersistRequested);
+  EXPECT_EQ(M.count(), 2000);
+}
+
+// No offheap.* keys may appear in a tier-less metrics export: the CI
+// byte-diff of --offheap-mb=0 against a build without the tier depends on
+// the key set being unchanged.
+TEST_F(OffHeapTest, TierlessRunExportsNoOffHeapKeys) {
+  makeRuntime(/*OffHeapMB=*/0);
+  SourceData Data = makeData(2000);
+  Rdd R = RT->ctx().source(&Data).persistAs("mem",
+                                            rdd::StorageLevel::MemoryOnly);
   EXPECT_EQ(R.count(), 2000);
-  EXPECT_FALSE(R.node()->OffHeapStubs)
-      << "without a tier OFF_HEAP runs the seed native-parts path";
-  // No offheap.* keys may appear in the metrics export: the CI byte-diff
-  // against the seed depends on the key set being unchanged.
   EXPECT_EQ(RT->metricsJson().find("offheap."), std::string::npos);
 }
 

@@ -22,11 +22,12 @@ class RddTest : public ::testing::Test {
 protected:
   void SetUp() override { rebuild(gc::PolicyKind::Panthera); }
 
-  void rebuild(gc::PolicyKind Policy) {
+  void rebuild(gc::PolicyKind Policy, unsigned OffHeapMB = 0) {
     core::RuntimeConfig Config;
     Config.Policy = Policy;
     Config.HeapPaperGB = 16;
     Config.Engine.NumPartitions = 4;
+    Config.OffHeapMB = OffHeapMB;
     RT = std::make_unique<core::Runtime>(Config);
   }
 
@@ -267,6 +268,7 @@ program t {
 }
 
 TEST_F(RddTest, OffHeapPersistStoresInNativeNvm) {
+  rebuild(gc::PolicyKind::Panthera, /*OffHeapMB=*/256);
   RT->analyzeAndInstall(R"(
 program t {
   raw = textFile("in").map().persist(OFF_HEAP);

@@ -141,7 +141,7 @@ echo "ci: dynamic policy migrates and sample=0 matches static byte-for-byte"
 # cost), whose committed snapshot is BENCH_pause.json.
 echo "=== incremental marking smoke ==="
 ./build/tools/panthera_sim --workload=PR --scale=0.1 --threads=1 \
-  --max-pause-us=0 --pretenure-calls=0 --metrics-json="${obs}/i0.json" \
+  --max-pause-us=0 --metrics-json="${obs}/i0.json" \
   --trace-json="${obs}/i0.trace" >/dev/null
 cmp "${obs}/m1.json" "${obs}/i0.json"
 cmp "${obs}/t1.json" "${obs}/i0.trace"
@@ -187,6 +187,14 @@ cmp "${obs}/oh0.sum" "${obs}/oh1.sum"
 (cd "${obs}" && "${OLDPWD}/build/bench/ablation_ser_cache")
 grep -q '"pass": true' "${obs}/BENCH_sercache.json"
 echo "ci: --offheap-mb=0 byte-identical, sercache ablation floors met"
+
+# Driver-program errors are typed, not aborts: a malformed program (here,
+# empty input) prints its line:col diagnostics and exits 1.
+echo "=== driver error smoke ==="
+rc=0
+./build/examples/run_driver </dev/null 2>/dev/null || rc=$?
+test "${rc}" -eq 1
+echo "ci: malformed driver program exits 1"
 
 # UBSan halts on its first report, so any undefined behavior fails CI
 # instead of only printing.

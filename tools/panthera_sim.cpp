@@ -13,7 +13,7 @@
 ///                [--policy=panthera|dynamic|unmanaged|dram|kn|kw]
 ///                [--hotness-sample=N] [--migrate-threshold=F]
 ///                [--migrate-max-pages=N]
-///                [--max-pause-us=N] [--pretenure-calls=N]
+///                [--max-pause-us=N]
 ///                [--inc-step-allocs=N] [--offheap-mb=N]
 ///                [--heap=64] [--ratio=0.333] [--scale=1.0]
 ///                [--nursery=0.1667] [--no-eager] [--no-padding]
@@ -248,10 +248,6 @@ int main(int Argc, char **Argv) {
       if (!support::parseUnsigned(V, 0, 1u << 30, U))
         return BadFlag(A, "a pause budget in microseconds >= 0");
       Config.MaxPauseUs = static_cast<uint32_t>(U);
-    } else if (const char *V = Val("--pretenure-calls=")) {
-      if (!support::parseUnsigned(V, 0, 1u << 30, U))
-        return BadFlag(A, "a call count >= 0 (0 disables the oracle)");
-      Config.PretenureMinCalls = static_cast<uint32_t>(U);
     } else if (const char *V = Val("--inc-step-allocs=")) {
       if (!support::parseUnsigned(V, 1, 1u << 30, U))
         return BadFlag(A, "an allocation count >= 1");
@@ -289,9 +285,6 @@ int main(int Argc, char **Argv) {
           "                     pause budget per mark step (default 0 =\n"
           "                     stop-the-world, byte-identical to builds\n"
           "                     without the feature; docs/gc_pause.md)\n"
-          "  --pretenure-calls=N  pretenure tagged arrays whose RDD has\n"
-          "                     seen >= N monitored calls in the current\n"
-          "                     window (default 0 = oracle off)\n"
           "  --inc-step-allocs=N  allocations between incremental mark\n"
           "                     steps (default 64; ignored at\n"
           "                     --max-pause-us=0)\n"
@@ -299,7 +292,7 @@ int main(int Argc, char **Argv) {
           "                     paper MB (docs/offheap.md); OFF_HEAP\n"
           "                     persists serialize into untraced native\n"
           "                     regions behind GC leaf stubs. Default 0 =\n"
-          "                     no tier, byte-identical output\n"
+          "                     no tier: OFF_HEAP persists fail\n"
           "  --heap=GB          heap size in paper GB (default 64)\n"
           "  --ratio=F          DRAM : total memory (default 0.333)\n"
           "  --nursery=F        nursery fraction of the heap\n"
@@ -587,16 +580,13 @@ int main(int Argc, char **Argv) {
   }
 
   if (GcLog) {
-    std::printf("\ngc log:\n%4s %-6s %9s %9s %8s %8s %8s %8s\n", "#",
-                "kind", "t(ms)", "dur(us)", "root", "d2y", "n2y",
-                "drain");
+    std::printf("\ngc log:\n%4s %-6s %9s %9s %8s %8s %8s\n", "#", "kind",
+                "t(ms)", "dur(us)", "d2y", "n2y", "drain");
     unsigned Index = 0;
     for (const gc::GcEvent &E : RT.collector().eventLog())
-      std::printf("%4u %-6s %9.2f %9.1f %8.1f %8.1f %8.1f %8.1f  %s\n",
-                  Index++,
+      std::printf("%4u %-6s %9.2f %9.1f %8.1f %8.1f %8.1f  %s\n", Index++,
                   E.IncStep ? "step" : E.Major ? "major" : "minor",
-                  E.StartNs / 1e6,
-                  E.DurationNs / 1e3, E.RootTaskNs / 1e3,
+                  E.StartNs / 1e6, E.DurationNs / 1e3,
                   E.DramToYoungTaskNs / 1e3, E.NvmToYoungTaskNs / 1e3,
                   E.DrainNs / 1e3, E.Reason);
   }
