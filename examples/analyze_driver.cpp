@@ -28,6 +28,7 @@
 #include "analysis/TagInference.h"
 #include "dsl/Parser.h"
 #include "dsl/Printer.h"
+#include "support/Errors.h"
 
 #include <cstdio>
 #include <cstring>
@@ -96,8 +97,14 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  analysis::AnalysisResult Result =
-      analysis::inferMemoryTags(Program, Options);
+  analysis::AnalysisResult Result;
+  try {
+    Result = analysis::inferMemoryTags(Program, Options);
+  } catch (const EngineError &E) {
+    // An unknown storage level: the engine would refuse the program too.
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 1;
+  }
   std::printf("program '%s': %zu materialized RDD variable(s)\n",
               Program.Name.c_str(), Result.Vars.size());
   std::printf("%-12s %-6s %-26s %s\n", "variable", "tag", "storage level",

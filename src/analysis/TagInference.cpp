@@ -7,6 +7,7 @@
 #include "analysis/TagInference.h"
 
 #include "analysis/SparkOps.h"
+#include "rdd/StorageLevel.h"
 
 #include <algorithm>
 
@@ -54,7 +55,7 @@ struct Facts {
   struct Materialization {
     int Index = -1;
     bool Persisted = false;
-    std::string Level;
+    rdd::StorageLevel Level = rdd::StorageLevel::MemoryOnly;
     dsl::SourceLoc Loc;
   };
   std::map<std::string, Materialization> Mats;
@@ -82,17 +83,17 @@ private:
   /// RDD materializes at the persist call; an action-targeted RDD at the
   /// action. Once materialized, later statements do not move the point.
   void noteMaterialization(const std::string &Var, int Index, bool Persisted,
-                           std::string Level, dsl::SourceLoc Loc) {
+                           rdd::StorageLevel Level, dsl::SourceLoc Loc) {
     auto It = F.Mats.find(Var);
     if (It != F.Mats.end()) {
       // Keep the first; upgrade non-persist to persist info if same stmt.
       if (Persisted && !It->second.Persisted && It->second.Index == Index) {
         It->second.Persisted = true;
-        It->second.Level = std::move(Level);
+        It->second.Level = Level;
       }
       return;
     }
-    F.Mats[Var] = {Index, Persisted, std::move(Level), Loc};
+    F.Mats[Var] = {Index, Persisted, Level, Loc};
   }
 
   void visitChain(const Chain &C, int Index,
@@ -104,9 +105,11 @@ private:
         if (A.K == dsl::Arg::Kind::Var && A.Text != "_")
           noteUse(A.Text, Index);
       if (isPersist(Call.Name)) {
-        std::string Level = "MEMORY_ONLY";
+        // The engine's own parser: a level the engine would reject (it
+        // throws EngineError) is rejected here too, not tagged.
+        rdd::StorageLevel Level = rdd::StorageLevel::MemoryOnly;
         if (!Call.Args.empty() && Call.Args[0].K == dsl::Arg::Kind::Var)
-          Level = Call.Args[0].Text;
+          Level = rdd::parseStorageLevel(Call.Args[0].Text);
         // persist in a definition chain materializes the defined variable;
         // persist invoked directly on a variable materializes that one.
         const std::string &Target =
@@ -119,8 +122,8 @@ private:
         // An action forces the chain; the root variable's RDD becomes
         // materialized here if it was not already.
         if (!C.RootIsSource)
-          noteMaterialization(C.RootName, Index, /*Persisted=*/false, "",
-                              Call.Loc);
+          noteMaterialization(C.RootName, Index, /*Persisted=*/false,
+                              rdd::StorageLevel::MemoryOnly, Call.Loc);
       } else if (isUnpersist(Call.Name)) {
         if (!C.RootIsSource)
           F.Unpersists[C.RootName].push_back(Index);
@@ -173,10 +176,11 @@ AnalysisResult panthera::analysis::inferMemoryTags(
     Info.Name = Var;
     Info.Persisted = Mat.Persisted;
     Info.ActionMaterialized = !Mat.Persisted;
-    Info.StorageLevel = Mat.Level;
+    if (Mat.Persisted)
+      Info.StorageLevel = rdd::storageLevelName(Mat.Level);
     Info.MaterializationLoc = Mat.Loc;
 
-    if (Mat.Persisted && Mat.Level == "DISK_ONLY") {
+    if (Mat.Persisted && Mat.Level == rdd::StorageLevel::DiskOnly) {
       // DISK_ONLY carries no memory tag (§3).
       Info.Tag = MemTag::None;
       Info.Reason = TagReason::NotMaterialized;
@@ -184,7 +188,7 @@ AnalysisResult panthera::analysis::inferMemoryTags(
       R.Vars[Var] = std::move(Info);
       continue;
     }
-    if (Mat.Persisted && Mat.Level == "OFF_HEAP") {
+    if (Mat.Persisted && Mat.Level == rdd::StorageLevel::OffHeapSer) {
       // OFF_HEAP translates directly to OFF_HEAP_NVM (§3): data placed in
       // native memory is rarely used.
       Info.Tag = MemTag::Nvm;

@@ -93,7 +93,9 @@ struct AnalysisResult {
   }
 };
 
-/// Runs the §3 inference over \p P (plus any enabled extensions).
+/// Runs the §3 inference over \p P (plus any enabled extensions). Throws
+/// EngineError on a persist level rdd::parseStorageLevel rejects, as the
+/// engine does.
 AnalysisResult inferMemoryTags(const dsl::Program &P,
                                const AnalysisOptions &Options = {});
 

@@ -18,10 +18,6 @@ using namespace panthera;
 using namespace panthera::core;
 
 Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
-  unsigned Workers = Config.NumThreads != 0 ? Config.NumThreads
-                                            : support::resolveAutoThreads();
-  Pool = std::make_unique<support::WorkStealingPool>(Workers);
-
   heap::HeapConfig HC = gc::makeHeapConfig(Config.Policy, Config.HeapPaperGB,
                                            Config.DramRatio);
   HC.NurseryFraction = Config.NurseryFraction;
@@ -47,7 +43,6 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
   TheHeap->setTelemetry(&Metrics, &Trace);
   TheCollector =
       std::make_unique<gc::Collector>(*TheHeap, Config.Policy, &Monitor);
-  TheCollector->setThreadPool(Pool.get());
   TheCollector->setTelemetry(&Metrics, &Trace);
 
   // Online hotness profiling + between-GC migration (--policy=dynamic,

@@ -27,7 +27,6 @@
 #include "offheap/RegionAllocator.h"
 #include "support/Errors.h"
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -61,8 +60,6 @@ public:
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(Setup.Config, *Mem);
     C = std::make_unique<gc::Collector>(*H, Setup.Policy, nullptr);
-    Pool = std::make_unique<support::WorkStealingPool>(Opts.Threads);
-    C->setThreadPool(Pool.get());
     FaultPlan Plan;
     Plan.Seed = Opts.Seed;
     bool WantFaults = false;
@@ -837,7 +834,6 @@ private:
   std::unique_ptr<memsim::HybridMemory> Mem;
   std::unique_ptr<Heap> H;
   std::unique_ptr<gc::Collector> C;
-  std::unique_ptr<support::WorkStealingPool> Pool;
   std::unique_ptr<FaultInjector> Faults;
 
   ShadowHeap Shadow;
@@ -872,7 +868,7 @@ FuzzResult panthera::fuzz::runSchedule(const FuzzOptions &Opts,
   // Cluster mode: replay the schedule on each additional executor heap and
   // require a bit-identical heap image. Divergence here means per-executor
   // heaps do not evolve deterministically from their inputs, which would
-  // sink the cluster's thread/executor-count invariance guarantees.
+  // sink the cluster's executor-count invariance guarantees.
   for (unsigned E = 1; E < Opts.Executors && First.Ok; ++E) {
     FuzzResult R = Runner(Opts, S).run();
     if (!R.Ok)

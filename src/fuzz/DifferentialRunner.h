@@ -29,9 +29,6 @@ struct FuzzOptions {
   uint64_t Seed = 1;
   size_t NumOps = 512;
   FuzzConfigKind Config = FuzzConfigKind::Split;
-  /// GC worker count (>= 1) of the work-stealing pool that runs the
-  /// scavenge and mark; results are bit-identical at every count.
-  unsigned Threads = 1;
   /// Executor heaps driven from the one schedule (docs/cluster.md). With
   /// N > 1 the schedule replays against N independent heap + oracle
   /// instances -- the cluster's per-executor heaps -- and the run also

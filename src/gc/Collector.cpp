@@ -10,16 +10,12 @@
 #include "memsim/Migration.h"
 #include "support/Errors.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/TraceLog.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <thread>
 
 using namespace panthera;
 using namespace panthera::gc;
@@ -35,9 +31,7 @@ using heap::Space;
 }
 
 Collector::Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor)
-    : H(H), Policy(Policy), Monitor(Monitor),
-      OwnPool(std::make_unique<support::WorkStealingPool>(1)),
-      Pool(OwnPool.get()) {
+    : H(H), Policy(Policy), Monitor(Monitor) {
   H.setGcHost(this);
 }
 
@@ -164,9 +158,8 @@ void Collector::collectMinor(const char *Reason) {
   {
     memsim::ActorScope Scope(H.memory(), memsim::Actor::Gc);
     ++Stats.MinorGcs;
-    // Work-stealing scavenge: claim / plan / copy / fixup phases (see
-    // below); deterministic at every worker count.
-    scavengeParallel(Event);
+    // Discover / plan / copy / fixup phases (see below).
+    scavenge(Event);
 
     // Young spaces: eden and from are now garbage; survivors sit in 'to'.
     uint64_t YoungLo = std::min(
@@ -215,28 +208,29 @@ void Collector::collectMinor(const char *Reason) {
 }
 
 //===----------------------------------------------------------------------===
-// Parallel scavenge (docs/parallelism.md)
+// Scavenge (docs/parallelism.md)
 //
-// A scavenge that interleaves discovery, placement, and copying depends on
-// trace order. This one splits the work into four phases so that every
-// order-dependent decision is made serially and every order-free phase
-// runs on the work-stealing pool:
+// The scavenge runs in five phases on the calling thread. Every placement
+// decision is taken from a finished discovery, never in trace order:
 //
-//   1. discover (parallel): claim reachable young objects with a CAS on the
-//      header's forwarding word and compute the monotone MEMORY_BITS
-//      fixpoint; roots and dirty cards seed per-worker Chase-Lev deques.
-//   2. plan (serial): walk eden + from-space in address order and assign
-//      every claimed object its destination by the promotion rules (tag,
-//      age, survivor overflow); old-generation placement goes through promotion
+//   0. prepare: snapshot the roots, the old-space tops, and the dirty
+//      old-generation cards.
+//   1. discover: claim reachable young objects through the header's
+//      forwarding word and compute the monotone MEMORY_BITS fixpoint from
+//      the roots and the dirty cards.
+//   2. plan: walk eden + from-space in address order and assign every
+//      claimed object its destination by the promotion rules (tag, age,
+//      survivor overflow); old-generation placement goes through promotion
 //      buffers (PLABs) whose remainders are retired as dead fillers.
-//   3. copy (parallel): memcpy each object to its planned destination and
-//      rewrite its reference slots through the forwarding words.
-//   4. fixup (serial): rewrite roots and dirty-card slots, make the card
-//      clean/keep decisions, and charge the merged traffic tallies.
+//   3. copy: memcpy each object to its planned destination and rewrite its
+//      reference slots through the forwarding words.
+//   4. fixup: rewrite roots and dirty-card slots, make the card clean/keep
+//      decisions, and charge the traffic tallies.
 //
-// Because the claim set, the tag fixpoint, and the address-ordered plan are
-// all independent of scheduling, the resulting heap image, statistics, and
-// simulated time are bit-identical at every worker count.
+// The claim set, the tag fixpoint, and the address-ordered plan do not
+// depend on visit order, and the traffic is charged from integer tallies,
+// so the heap image, statistics, and simulated time depend on the heap
+// alone.
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -244,57 +238,18 @@ namespace {
 /// Forward-word value marking "claimed, destination not yet planned".
 constexpr uint64_t ClaimedSentinel = 1;
 
-/// Per-worker integer traffic counts, merged before the single bulk charge
-/// so simulated GC time is independent of scheduling (floating-point
-/// accumulation order never varies). HybridMemory::flushShard charges the
-/// GC actor and returns the ns consumed.
+/// Integer traffic counts, charged in one bulk flush per task family so
+/// simulated GC time is a function of the line counts alone.
+/// HybridMemory::flushShard charges the GC actor and returns the ns
+/// consumed.
 using GcTally = memsim::TrafficShard;
 
-MemTag loadTagAtomic(ObjectHeader *Hdr) {
-  std::atomic_ref<uint8_t> F(Hdr->Flags);
-  return static_cast<MemTag>(F.load(std::memory_order_relaxed) &
-                             ObjectHeader::MemoryBitsMask);
-}
-
-/// Raises the object's MEMORY_BITS to merge(current, Incoming). Returns
-/// true when the stored tag changed. The merge is monotone (DRAM > NVM >
-/// none), so concurrent raisers converge and each object's tag can rise at
-/// most twice.
-bool raiseTagAtomic(ObjectHeader *Hdr, MemTag Incoming) {
-  if (Incoming == MemTag::None)
-    return false;
-  std::atomic_ref<uint8_t> F(Hdr->Flags);
-  uint8_t Old = F.load(std::memory_order_relaxed);
-  for (;;) {
-    MemTag Cur = static_cast<MemTag>(Old & ObjectHeader::MemoryBitsMask);
-    MemTag Merged = mergeTags(Cur, Incoming);
-    if (Merged == Cur)
-      return false;
-    uint8_t New = static_cast<uint8_t>((Old & ~ObjectHeader::MemoryBitsMask) |
-                                       static_cast<uint8_t>(Merged));
-    if (F.compare_exchange_weak(Old, New, std::memory_order_relaxed))
-      return true;
-  }
-}
-
-/// Claims the object for this scavenge: CAS the forwarding word from 0 to
-/// the sentinel. Exactly one thread wins per object.
-bool claimAtomic(ObjectHeader *Hdr) {
-  std::atomic_ref<uint64_t> Fwd(Hdr->Forward);
-  uint64_t Expected = 0;
-  return Fwd.compare_exchange_strong(Expected, ClaimedSentinel,
-                                     std::memory_order_relaxed);
-}
-
-/// One minor collection's parallel-scavenge state. Constructed per GC on
-/// the caller's stack; shares the heap, the collector's stats, and the
-/// pool.
-class ParallelScavenge {
+/// One minor collection's scavenge state. Constructed per GC on the
+/// caller's stack; shares the heap and the collector's stats.
+class Scavenge {
 public:
-  ParallelScavenge(heap::Heap &H, GcStats &Stats,
-                   support::WorkStealingPool &Pool)
-      : H(H), Stats(Stats), Pool(Pool), Workers(Pool.numWorkers()),
-        Map(H.memory().map()) {}
+  Scavenge(heap::Heap &H, GcStats &Stats)
+      : H(H), Stats(Stats), Map(H.memory().map()) {}
 
   void collect(GcEvent &Event) {
     prepare();
@@ -323,8 +278,8 @@ private:
 
   /// Slot ranges a dirty card's scan covers: each intersecting object's
   /// slots clamped to the card, or, under the §4.2.3 shared-array rule,
-  /// every slot of every object on it. Used by both the parallel discover
-  /// pass and the serial fixup pass.
+  /// every slot of every object on it. Used by both the discover and the
+  /// fixup pass.
   struct CardRange {
     uint64_t Addr;
     uint32_t Begin, End;
@@ -404,79 +359,62 @@ private:
     }
   }
 
-  //===--- phase 1: discover (parallel) -----------------------------------===
+  //===--- phase 1: discover ----------------------------------------------===
 
-  void enqueue(uint64_t Addr, unsigned W) {
-    Pending.fetch_add(1);
-    Deques[W]->push(Addr);
+  void visitYoung(uint64_t Addr, MemTag Incoming) {
+    ObjectHeader *Hdr = H.header(Addr);
+    bool Claimed = Hdr->Forward == 0;
+    if (Claimed)
+      Hdr->Forward = ClaimedSentinel;
+    MemTag Cur = Hdr->memTag();
+    MemTag Merged = mergeTags(Cur, Incoming);
+    if (Merged != Cur)
+      Hdr->setMemTag(Merged);
+    // A raise on an already-claimed object re-pushes it so its children
+    // observe the stronger tag; the monotone merge (DRAM > NVM > none)
+    // bounds re-scans at two per object and makes the fixpoint
+    // independent of visit order.
+    if (Claimed || Merged != Cur)
+      Stack.push_back(Addr);
   }
 
-  void visitYoung(uint64_t Addr, MemTag Incoming, unsigned W) {
+  void scanObject(uint64_t Addr) {
     ObjectHeader *Hdr = H.header(Addr);
-    bool Claimed = claimAtomic(Hdr);
-    bool Raised = raiseTagAtomic(Hdr, Incoming);
-    // A raise on an already-claimed object re-enqueues it so its children
-    // observe the stronger tag; the monotone merge bounds re-scans at two
-    // per object and makes the fixpoint schedule-independent.
-    if (Claimed || Raised)
-      enqueue(Addr, W);
-  }
-
-  void scanObject(uint64_t Addr, unsigned W) {
-    ObjectHeader *Hdr = H.header(Addr);
-    MemTag Tag = loadTagAtomic(Hdr);
+    MemTag Tag = Hdr->memTag();
     uint32_t N = Hdr->numRefSlots();
     for (uint32_t I = 0; I != N; ++I) {
       ObjRef Child = H.rawLoadRef(Addr, I);
       if (Child && inCollectedYoung(Child.addr()))
-        visitYoung(Child.addr(), Tag, W);
+        visitYoung(Child.addr(), Tag);
     }
   }
 
-  void scanDirtyCard(const CardWork &C, unsigned W);
-
-  void discover() {
-    Deques.reserve(Workers);
-    for (unsigned W = 0; W != Workers; ++W)
-      Deques.push_back(std::make_unique<support::ChaseLevDeque<uint64_t>>());
-    size_t NumItems = Roots.size() + DirtyCards.size();
-    Pending.store(NumItems);
-    Pool.runOnWorkers([this, NumItems](unsigned W) {
-      // Striped initial work: roots first, then dirty cards.
-      for (size_t I = W; I < NumItems; I += Workers) {
-        if (I < Roots.size()) {
-          ObjRef R = *Roots[I];
-          if (R && inCollectedYoung(R.addr()))
-            visitYoung(R.addr(), MemTag::None, W);
-        } else {
-          scanDirtyCard(DirtyCards[I - Roots.size()], W);
-        }
-        Pending.fetch_sub(1);
+  void scanDirtyCard(const CardWork &C) {
+    CardScan CS = collectCardRanges(*C.S, C.Idx, topOf(C.S));
+    for (const CardRange &R : CS.Ranges) {
+      MemTag Tag = H.header(R.Addr)->memTag(); // old gen: stable during GC
+      for (uint32_t S = R.Begin; S != R.End; ++S) {
+        ObjRef Child = H.rawLoadRef(R.Addr, S);
+        if (Child && inCollectedYoung(Child.addr()))
+          visitYoung(Child.addr(), Tag);
       }
-      // Work-stealing trace to the claim/tag fixpoint.
-      for (;;) {
-        uint64_t Addr;
-        if (Deques[W]->pop(Addr)) {
-          scanObject(Addr, W);
-          Pending.fetch_sub(1);
-          continue;
-        }
-        bool Stole = false;
-        for (unsigned I = 1; I != Workers && !Stole; ++I)
-          Stole = Deques[(W + I) % Workers]->steal(Addr);
-        if (Stole) {
-          scanObject(Addr, W);
-          Pending.fetch_sub(1);
-          continue;
-        }
-        if (Pending.load() == 0)
-          break;
-        std::this_thread::yield();
-      }
-    });
+    }
   }
 
-  //===--- phase 2: plan (serial) -----------------------------------------===
+  void discover() {
+    for (ObjRef *R : Roots)
+      if (*R && inCollectedYoung(R->addr()))
+        visitYoung(R->addr(), MemTag::None);
+    for (const CardWork &C : DirtyCards)
+      scanDirtyCard(C);
+    while (!Stack.empty()) {
+      uint64_t Addr = Stack.back();
+      Stack.pop_back();
+      scanObject(Addr);
+    }
+  }
+
+  //===--- phase 2: plan --------------------------------------------------===
 
   /// Per-space promotion buffer: a bump extent carved from the owning
   /// space. Retiring a partially used extent plugs the remainder with a
@@ -631,16 +569,12 @@ private:
     retirePlab(NvmPlab);
   }
 
-  //===--- phase 3: copy (parallel) ---------------------------------------===
+  //===--- phase 3: copy --------------------------------------------------===
 
   void copy() {
-    Tallies.assign(Workers, GcTally());
-    DirtySlots.assign(Workers, {});
-    Pool.run(Moves.size(), [this](size_t I, unsigned W) {
-      const Move &M = Moves[I];
-      GcTally &T = Tallies[W];
-      T.add(Map, M.Old, M.Size, /*IsWrite=*/false);
-      T.add(Map, M.New, M.Size, /*IsWrite=*/true);
+    for (const Move &M : Moves) {
+      Drain.add(Map, M.Old, M.Size, /*IsWrite=*/false);
+      Drain.add(Map, M.New, M.Size, /*IsWrite=*/true);
       std::memcpy(H.rawBytes(M.New), H.rawBytes(M.Old), M.Size);
       ObjectHeader *NewHdr = H.header(M.New);
       NewHdr->Forward = 0;
@@ -651,26 +585,26 @@ private:
       uint32_t N = NewHdr->numRefSlots();
       for (uint32_t S = 0; S != N; ++S) {
         uint64_t SlotAddr = H.refSlotAddr(M.New, S);
-        T.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/false);
+        Drain.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/false);
         ObjRef Child = H.rawLoadRef(M.New, S);
         if (!Child)
           continue;
         if (inCollectedYoung(Child.addr())) {
           ObjRef Moved(H.header(Child.addr())->Forward);
           H.rawStoreRef(M.New, S, Moved);
-          T.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/true);
+          Drain.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/true);
           Child = Moved;
         }
         // Promoted objects still pointing into the young generation must
         // be visible to the next minor GC's card scan; the dirtying is
         // deferred so it lands after the fixup phase's clean decisions.
         if (ParentOld && H.isYoung(Child.addr()))
-          DirtySlots[W].push_back(SlotAddr);
+          DirtySlots.push_back(SlotAddr);
       }
-    });
+    }
   }
 
-  //===--- phase 4: fixup (serial) ----------------------------------------===
+  //===--- phase 4: fixup -------------------------------------------------===
 
   void fixup(GcEvent &Event) {
     H.forEachRoot([this](ObjRef &R) {
@@ -717,20 +651,15 @@ private:
 
     // Re-dirty the cards of promoted objects that still reference young
     // survivors -- strictly after the clean decisions above.
-    for (const std::vector<uint64_t> &V : DirtySlots)
-      for (uint64_t SlotAddr : V)
-        Cards.dirtyCardFor(SlotAddr);
+    for (uint64_t SlotAddr : DirtySlots)
+      Cards.dirtyCardFor(SlotAddr);
 
-    // Single bulk charge per task family; the integer counts were merged
-    // above, so time is identical at every worker count. Root handles live
-    // outside simulated memory, so root scanning itself is free -- the
-    // copies it caused are part of the drain tally.
+    // Single bulk charge per task family. Root handles live outside
+    // simulated memory, so root scanning itself is free -- the copies it
+    // caused are part of the drain tally.
     memsim::HybridMemory &Mem = H.memory();
     Event.DramToYoungTaskNs = Mem.flushShard(DramCards);
     Event.NvmToYoungTaskNs = Mem.flushShard(NvmCards);
-    GcTally Drain;
-    for (const GcTally &T : Tallies)
-      Drain.merge(T);
     Event.DrainNs = Mem.flushShard(Drain);
   }
 
@@ -738,42 +667,25 @@ private:
 
   heap::Heap &H;
   GcStats &Stats;
-  support::WorkStealingPool &Pool;
-  unsigned Workers;
   const memsim::AddressMap &Map;
 
   std::vector<ObjRef *> Roots;
   std::vector<CardWork> DirtyCards;
   uint64_t TopDram = 0, TopNvm = 0;
 
-  std::vector<std::unique_ptr<support::ChaseLevDeque<uint64_t>>> Deques;
-  std::atomic<size_t> Pending{0};
+  /// Discover's trace stack: claimed or tag-raised objects to scan.
+  std::vector<uint64_t> Stack;
 
   Plab DramPlab, NvmPlab;
   std::vector<Move> Moves;
 
-  std::vector<GcTally> Tallies;
-  std::vector<std::vector<uint64_t>> DirtySlots;
+  GcTally Drain;
+  std::vector<uint64_t> DirtySlots;
 };
-
-void ParallelScavenge::scanDirtyCard(const CardWork &C, unsigned W) {
-  CardScan CS = collectCardRanges(*C.S, C.Idx, topOf(C.S));
-  for (const CardRange &R : CS.Ranges) {
-    MemTag Tag = H.header(R.Addr)->memTag(); // old gen: stable during GC
-    for (uint32_t S = R.Begin; S != R.End; ++S) {
-      ObjRef Child = H.rawLoadRef(R.Addr, S);
-      if (Child && inCollectedYoung(Child.addr()))
-        visitYoung(Child.addr(), Tag, W);
-    }
-  }
-}
 
 } // namespace
 
-void Collector::scavengeParallel(GcEvent &Event) {
-  ParallelScavenge PS(H, Stats, *Pool);
-  PS.collect(Event);
-}
+void Collector::scavenge(GcEvent &Event) { Scavenge(H, Stats).collect(Event); }
 
 void Collector::maybeTriggerMajor() {
   double Threshold = H.config().Tuning.MajorGcOccupancy;
@@ -821,75 +733,33 @@ void Collector::maybeTriggerMajor() {
 // Major GC
 //===----------------------------------------------------------------------===
 
-void Collector::markParallelFromRoots() {
-  // Work-stealing mark. Exactly one worker claims each object (an atomic
-  // fetch_or of the mark bit), and the claimer scans it, so every header
-  // and slot is tallied exactly once regardless of scheduling -- the
-  // merged traffic counts, and hence MarkNs, are worker-count invariant.
-  unsigned Workers = Pool->numWorkers();
-  std::vector<std::unique_ptr<support::ChaseLevDeque<uint64_t>>> Deques;
-  Deques.reserve(Workers);
-  for (unsigned W = 0; W != Workers; ++W)
-    Deques.push_back(std::make_unique<support::ChaseLevDeque<uint64_t>>());
-  std::vector<uint64_t> Roots;
-  H.forEachRoot([&Roots](ObjRef &R) { Roots.push_back(R.addr()); });
-  std::atomic<size_t> Pending{Roots.size()};
-  std::vector<GcTally> Tallies(Workers);
-  const memsim::AddressMap &Map = H.memory().map();
-
-  auto Claim = [this](uint64_t Addr) {
-    std::atomic_ref<uint8_t> F(H.header(Addr)->Flags);
-    uint8_t Old =
-        F.fetch_or(ObjectHeader::MarkBit, std::memory_order_relaxed);
-    return (Old & ObjectHeader::MarkBit) == 0;
-  };
-  auto Scan = [&](uint64_t Addr, unsigned W) {
+void Collector::markFromRoots() {
+  // Each object is pushed once, when its mark bit is set, and scanned once,
+  // so every header and slot is tallied exactly once.
+  std::vector<uint64_t> Stack;
+  auto Visit = [&](uint64_t Addr) {
     ObjectHeader *Hdr = H.header(Addr);
-    GcTally &T = Tallies[W];
-    T.add(Map, Addr, sizeof(ObjectHeader), /*IsWrite=*/false);
-    uint32_t N = Hdr->numRefSlots();
-    for (uint32_t I = 0; I != N; ++I) {
-      T.add(Map, H.refSlotAddr(Addr, I), heap::RefSlotBytes,
-            /*IsWrite=*/false);
-      ObjRef Child = H.rawLoadRef(Addr, I);
-      if (Child && Claim(Child.addr())) {
-        Pending.fetch_add(1);
-        Deques[W]->push(Child.addr());
-      }
-    }
+    if (Hdr->isMarked())
+      return;
+    Hdr->setMarked(true);
+    Stack.push_back(Addr);
   };
-
-  Pool->runOnWorkers([&](unsigned W) {
-    for (size_t I = W; I < Roots.size(); I += Workers) {
-      if (Claim(Roots[I]))
-        Scan(Roots[I], W);
-      Pending.fetch_sub(1);
+  H.forEachRoot([&](ObjRef &R) { Visit(R.addr()); });
+  GcTally Tally;
+  const memsim::AddressMap &Map = H.memory().map();
+  while (!Stack.empty()) {
+    uint64_t Addr = Stack.back();
+    Stack.pop_back();
+    Tally.add(Map, Addr, sizeof(ObjectHeader), /*IsWrite=*/false);
+    uint32_t N = H.header(Addr)->numRefSlots();
+    for (uint32_t I = 0; I != N; ++I) {
+      Tally.add(Map, H.refSlotAddr(Addr, I), heap::RefSlotBytes,
+                /*IsWrite=*/false);
+      if (ObjRef Child = H.rawLoadRef(Addr, I))
+        Visit(Child.addr());
     }
-    for (;;) {
-      uint64_t Addr;
-      if (Deques[W]->pop(Addr)) {
-        Scan(Addr, W);
-        Pending.fetch_sub(1);
-        continue;
-      }
-      bool Stole = false;
-      for (unsigned I = 1; I != Workers && !Stole; ++I)
-        Stole = Deques[(W + I) % Workers]->steal(Addr);
-      if (Stole) {
-        Scan(Addr, W);
-        Pending.fetch_sub(1);
-        continue;
-      }
-      if (Pending.load() == 0)
-        break;
-      std::this_thread::yield();
-    }
-  });
-
-  GcTally Total;
-  for (const GcTally &T : Tallies)
-    Total.merge(T);
-  H.memory().flushShard(Total);
+  }
+  H.memory().flushShard(Tally);
 }
 
 //===----------------------------------------------------------------------===
@@ -1391,7 +1261,7 @@ void Collector::collectMajor(const char *Reason) {
     double PhaseStart = H.memory().gcTimeNs();
     if (IncActive)
       finishIncrementalMark();
-    markParallelFromRoots();
+    markFromRoots();
     Event.MarkNs = H.memory().gcTimeNs() - PhaseStart;
     planMigrations();
     PhaseStart = H.memory().gcTimeNs();

@@ -36,7 +36,6 @@
 #include "heap/Heap.h"
 
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -45,7 +44,6 @@ namespace memsim {
 class MigrationEngine;
 } // namespace memsim
 namespace support {
-class WorkStealingPool;
 class MetricsRegistry;
 class TraceLog;
 } // namespace support
@@ -124,16 +122,6 @@ public:
   const GcStats &stats() const { return Stats; }
   PolicyKind policy() const { return Policy; }
 
-  /// Installs the shared work-stealing pool that runs the minor GC's
-  /// four-phase scavenge and the major GC's claim-based mark
-  /// (docs/parallelism.md). Until one is installed (or after installing
-  /// null) the collector runs the same algorithms on a 1-worker pool of
-  /// its own, which starts no threads. Results and simulated time are
-  /// invariant in the pool's worker count.
-  void setThreadPool(support::WorkStealingPool *P) {
-    Pool = P ? P : OwnPool.get();
-  }
-
   /// Installs the observability sinks (docs/observability.md). After every
   /// collection the collector publishes pause/phase histograms and
   /// per-space occupancy gauges into \p M and a minor/major span with
@@ -167,13 +155,14 @@ private:
   bool scavengeHeadroomOk() const;
   void maybeTriggerMajor();
 
-  /// The work-stealing scavenge (claim / plan / copy / fixup phases).
-  /// Fills the Event phase fields.
-  void scavengeParallel(GcEvent &Event);
+  /// The scavenge (discover / plan / copy / fixup phases,
+  /// docs/parallelism.md). Fills the Event phase fields.
+  void scavenge(GcEvent &Event);
 
   //===--- major GC -------------------------------------------------------===
-  /// Work-stealing mark (claim via an atomic mark-bit fetch_or).
-  void markParallelFromRoots();
+  /// Marks everything reachable from the roots, charging one read per
+  /// header and slot.
+  void markFromRoots();
   /// Publishes one finished collection's telemetry (histograms, occupancy
   /// gauges, trace spans). Runs at the serial Events.push_back point.
   void emitTelemetry(const GcEvent &Event);
@@ -201,15 +190,12 @@ private:
   /// are closed over immediately (their addresses do not survive minor
   /// GCs), pushing only their old children.
   void incMarkRef(uint64_t Addr);
-  /// Scans one marked object's slots, charging like markParallelFromRoots.
+  /// Scans one marked object's slots, charging like markFromRoots.
   void scanForMark(uint64_t Addr);
 
   heap::Heap &H;
   PolicyKind Policy;
   AccessMonitor *Monitor;
-  /// The 1-worker pool used while no shared pool is installed.
-  std::unique_ptr<support::WorkStealingPool> OwnPool;
-  support::WorkStealingPool *Pool;
   support::MetricsRegistry *Metrics = nullptr;
   support::TraceLog *TraceSink = nullptr;
   memsim::MigrationEngine *Migration = nullptr;

@@ -140,11 +140,11 @@ void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
     // Naive injection is a flat per-touch delay with no cache, so the
     // range op literally is the element loop.
     if (ElemBytes == 0) {
-      perLineAccess(Addr, Bytes, IsWrite);
+      naiveAccess(Addr, Bytes, IsWrite);
       return;
     }
     for (uint64_t I = 0, N = Bytes / ElemBytes; I != N; ++I)
-      perLineAccess(Addr + I * ElemBytes, ElemBytes, IsWrite);
+      naiveAccess(Addr + I * ElemBytes, ElemBytes, IsWrite);
     return;
   }
 
@@ -203,48 +203,16 @@ void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
   }
 }
 
-void HybridMemory::perLineAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite) {
+void HybridMemory::naiveAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite) {
+  // §5.1's rejected alternative: a fixed delay per executed load/store,
+  // blind to caches and overlap.
   uint64_t FirstLine = Addr / CacheLineBytes;
   uint64_t LastLine = (Addr + Bytes - 1) / CacheLineBytes;
   for (uint64_t Line = FirstLine; Line <= LastLine; ++Line) {
     uint64_t LineAddr = Line * CacheLineBytes;
-    if (Tech.Mode == EmulationMode::NaiveInjection) {
-      // §5.1's rejected alternative: a fixed delay per executed
-      // load/store, blind to caches and overlap.
-      Device D = Map.deviceOf(LineAddr);
-      chargeNs(IsWrite ? Tech.writeLatencyNs(D) : Tech.readLatencyNs(D));
-      recordTraffic(LineAddr, IsWrite);
-      continue;
-    }
-    CacheResult R = Cache.access(LineAddr, IsWrite);
-    if (R.Hit) {
-      chargeNs(Tech.CacheHitNs / Tech.mlp(Current));
-      continue;
-    }
-    // Miss: fill the line from its device. A write miss performs a
-    // read-for-ownership; the store itself is absorbed by the cache and
-    // reaches the device later as a writeback. Sequential-stream misses
-    // are hidden by the prefetcher and cost only bandwidth.
     Device D = Map.deviceOf(LineAddr);
-    bool Prefetched = Tech.StreamPrefetcher && Prefetch.access(Line);
-    if (Prefetched) {
-      ++PrefetchedMisses;
-      // Prefetched lines stream concurrently with compute.
-      chargeOverlappableNs(
-          Tech.missCostNs(D, Current, /*IsWrite=*/false, Prefetched));
-    } else {
-      // A demand miss is a dependent load: the pipeline stalls.
-      chargeNs(Tech.missCostNs(D, Current, /*IsWrite=*/false, Prefetched));
-    }
-    recordTraffic(LineAddr, /*IsWrite=*/false);
-    if (R.Writeback) {
-      // Writebacks drain asynchronously; they consume bandwidth (and on
-      // NVM, substantial energy) but overlap with compute.
-      Device VictimDev = Map.deviceOf(R.VictimLineAddr);
-      chargeOverlappableNs(static_cast<double>(CacheLineBytes) /
-                           Tech.bandwidthGBs(VictimDev));
-      recordTraffic(R.VictimLineAddr, /*IsWrite=*/true);
-    }
+    chargeNs(IsWrite ? Tech.writeLatencyNs(D) : Tech.readLatencyNs(D));
+    recordTraffic(LineAddr, IsWrite);
   }
 }
 

@@ -53,11 +53,10 @@ enum class AccessPathMode {
   PerLine, ///< Reference: one full pipeline evaluation per touched line.
 };
 
-/// Per-worker integer traffic counts accumulated off the shared simulator
-/// and charged in one bulk flush at a safepoint, so simulated time stays
-/// independent of worker scheduling (no floating-point accumulation-order
-/// variance) and parallel phases stop serializing on the accounting.
-/// This is the promoted form of the collector's per-worker GcTally.
+/// Integer traffic counts accumulated off the simulator and charged in one
+/// bulk flush, so a GC phase's simulated time is a function of its line
+/// counts alone (no floating-point accumulation-order variance). The
+/// collector's GcTally is this type.
 struct TrafficShard {
   uint64_t DramReads = 0;
   uint64_t DramWrites = 0;
@@ -150,18 +149,16 @@ public:
   /// actor's clock. The Spark engine uses this for per-record compute.
   void addCpuWorkNs(double Ns);
 
-  /// Bulk accounting used by the parallel collector: charges whole
-  /// cache-line counts per device and direction at the current actor's
-  /// miss cost, bumping the traffic counters and the bandwidth trace.
-  /// The counts are integers merged across GC workers before the single
-  /// cost multiplication, so the simulated time is bit-identical at every
-  /// thread count (no cache-model state is involved: a scavenge streams
-  /// far more data than the LLC holds, so it is modeled as all misses at
-  /// the GC's bandwidth-bound MLP).
+  /// Bulk accounting used by the collector: charges whole cache-line
+  /// counts per device and direction at the current actor's miss cost,
+  /// bumping the traffic counters and the bandwidth trace. The counts are
+  /// integers, multiplied by the cost once (no cache-model state is
+  /// involved: a scavenge streams far more data than the LLC holds, so it
+  /// is modeled as all misses at the GC's bandwidth-bound MLP).
   void chargeBulkLines(uint64_t DramReads, uint64_t DramWrites,
                        uint64_t NvmReads, uint64_t NvmWrites);
 
-  /// Flushes a worker's TrafficShard through chargeBulkLines and returns
+  /// Flushes a TrafficShard through chargeBulkLines and returns
   /// the simulated ns the flush added to the current actor's clock.
   double flushShard(const TrafficShard &S) {
     double Before = ActorNs[static_cast<unsigned>(Current)];
@@ -225,9 +222,8 @@ private:
   /// Reference implementation: the per-element, per-line pipeline.
   void perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
                     uint64_t ElemBytes);
-  /// One access through the original full pipeline (reference path and
-  /// NaiveInjection mode).
-  void perLineAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite);
+  /// One NaiveInjection access: a flat per-line device latency, no cache.
+  void naiveAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite);
   /// deviceOf for writeback victims (arbitrary addresses): a single-entry
   /// page cache invalidated by the map's remap generation.
   Device victimDeviceOf(uint64_t Addr) {

@@ -8,8 +8,8 @@
 /// An append-only trace of spans (GC pauses with per-phase sub-spans,
 /// stages, per-partition tasks) and instant events (OOM-degradation
 /// steps), all stamped with the *simulated* clock from HybridMemory --
-/// never the wall clock, so the export is byte-identical at every
-/// --threads value.
+/// never the wall clock, so the export is byte-identical across runs of
+/// one configuration.
 ///
 /// The exporter emits the chrome://tracing JSON object format
 /// ({"traceEvents":[...]}): complete events (ph "X") for spans, instant

@@ -6,6 +6,7 @@
 
 #include "analysis/TagInference.h"
 #include "dsl/Parser.h"
+#include "support/Errors.h"
 
 #include <gtest/gtest.h>
 
@@ -128,6 +129,15 @@ program d {
   EXPECT_EQ(R.Vars.at("spill").Tag, MemTag::None);
   EXPECT_EQ(R.Vars.at("spill").ExpandedLevel, "DISK_ONLY");
   EXPECT_EQ(R.Vars.at("live").Tag, MemTag::Dram);
+}
+
+TEST(TagInference, UnknownStorageLevelIsRejectedLikeTheEngine) {
+  // The engine throws EngineError on this persist; the analysis must not
+  // invent a BOGUS_DRAM level for it.
+  EXPECT_THROW(analyze(R"(
+program t { a = textFile("x").persist(BOGUS); a.count(); }
+)"),
+               EngineError);
 }
 
 TEST(TagInference, GraphXPatternInnerUseOnlyLoopGivesDram) {

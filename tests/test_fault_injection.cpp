@@ -262,13 +262,13 @@ TEST_F(FaultInjectionTest, ConcurrentOccurrencesFireTheSameTotal) {
   // depends only on that index, so the multiset of draws -- and hence the
   // total fired -- is exactly the serial schedule's.
   FaultInjector Shared(Plan);
-  constexpr unsigned NumThreads = 8;
+  constexpr unsigned NumCallers = 8;
   std::atomic<uint64_t> ConcurrentFired{0};
   std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T)
+  for (unsigned T = 0; T != NumCallers; ++T)
     Threads.emplace_back([&] {
       uint64_t Local = 0;
-      for (uint64_t I = 0; I != N / NumThreads; ++I)
+      for (uint64_t I = 0; I != N / NumCallers; ++I)
         if (Shared.shouldFail(FaultSite::TaskExecution))
           ++Local;
       ConcurrentFired.fetch_add(Local);

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "gc/Collector.h"
-#include "support/ThreadPool.h"
 #include "support/Units.h"
 
 #include <gtest/gtest.h>
@@ -397,9 +396,7 @@ TEST_F(GcTest, EventLogCountsPromotedBytes) {
 /// survivors can neither tenure by age nor be promoted, so their age must
 /// pin at 255 across further minor GCs instead of wrapping to 0 (which
 /// restarts the tenuring clock and strands hot objects in the nursery).
-/// Without \p Parallel the collector runs on the 1-worker pool it owns;
-/// with it, on an installed 4-worker pool.
-void runAgeSaturationTest(bool Parallel) {
+TEST(GcAgeSaturation, SerialScavengeSaturatesAt255) {
   HeapConfig HC = makeHeapConfig(PolicyKind::Panthera, 2, 1.0 / 3.0);
   HC.NativeBytes = PaperGB / 4;
   HC.Tuning.TenureAge = 255;
@@ -409,11 +406,6 @@ void runAgeSaturationTest(bool Parallel) {
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   auto H = std::make_unique<Heap>(HC, *Mem);
   auto C = std::make_unique<Collector>(*H, PolicyKind::Panthera, nullptr);
-  std::unique_ptr<support::WorkStealingPool> Pool;
-  if (Parallel) {
-    Pool = std::make_unique<support::WorkStealingPool>(4);
-    C->setThreadPool(Pool.get());
-  }
 
   // Pack both old-generation components with pretenured arrays until one
   // falls back to a young allocation (DRAM-tagged arrays overflow into
@@ -445,14 +437,6 @@ void runAgeSaturationTest(bool Parallel) {
   }
   EXPECT_GE(YoungAtCeiling, 50u)
       << "test setup must strand objects at the age ceiling";
-}
-
-TEST(GcAgeSaturation, SerialScavengeSaturatesAt255) {
-  runAgeSaturationTest(/*Parallel=*/false);
-}
-
-TEST(GcAgeSaturation, ParallelScavengeSaturatesAt255) {
-  runAgeSaturationTest(/*Parallel=*/true);
 }
 
 TEST(AccessMonitorSaturation, WindowCountSaturatesInsteadOfWrapping) {

@@ -7,7 +7,7 @@
 // Frozen-seed repros for the heap-integrity bugs the differential harness
 // found, plus determinism and cross-config sweeps. Each regression test
 // names the fault it pins: reintroduce that fault and the exact
-// (seed, ops, config, threads) tuple diverges again.
+// (seed, ops, config) tuple diverges again.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +20,11 @@ using namespace panthera::fuzz;
 namespace {
 
 FuzzResult run(uint64_t Seed, size_t Ops, FuzzConfigKind K,
-               unsigned Threads = 1, unsigned Executors = 1) {
+               unsigned Executors = 1) {
   FuzzOptions O;
   O.Seed = Seed;
   O.NumOps = Ops;
   O.Config = K;
-  O.Threads = Threads;
   O.Executors = Executors;
   return runDifferential(O);
 }
@@ -51,16 +50,17 @@ TEST(GcFuzzRegression, BumpPointerWraparoundIsRejected) {
 // Frozen repros: with the survivor-age increment un-saturated (uint8
 // wraps 255 -> 0 once the old generation is too full to promote), these
 // pairs diverge inside a minor-gc-burst with "survivor age clock broken:
-// age 0 after a minor gc, expected 255". The second seed was found on a
-// since-deleted serial scavenge that aged survivors at its own site; it
-// is kept as a frozen tuple replayed on one worker.
+// age 0 after a minor gc, expected 255". The first seed was found on the
+// since-deleted 8-worker scavenge, the second on a since-deleted serial
+// scavenge that aged survivors at its own site; both are kept as frozen
+// tuples for the one scavenge that remains.
 TEST(GcFuzzRegression, SurvivorAgeSaturatesParallelScavenge) {
-  FuzzResult R = run(1, 397, FuzzConfigKind::Pressure, /*Threads=*/8);
+  FuzzResult R = run(1, 397, FuzzConfigKind::Pressure);
   EXPECT_TRUE(R.Ok) << R.Problem;
 }
 
 TEST(GcFuzzRegression, SurvivorAgeSaturatesSerialScavenge) {
-  FuzzResult R = run(3, 465, FuzzConfigKind::Pressure, /*Threads=*/1);
+  FuzzResult R = run(3, 465, FuzzConfigKind::Pressure);
   EXPECT_TRUE(R.Ok) << R.Problem;
 }
 
@@ -71,8 +71,7 @@ TEST(GcFuzzRegression, SurvivorAgeSaturatesSerialScavenge) {
 // dependent on replica-local state (the bug class this pins) diverges
 // here immediately.
 TEST(GcFuzzRegression, DegradedInterleaveReplaysAcrossExecutors) {
-  FuzzResult R = run(17, 300, FuzzConfigKind::Split, /*Threads=*/1,
-                     /*Executors=*/3);
+  FuzzResult R = run(17, 300, FuzzConfigKind::Split, /*Executors=*/3);
   EXPECT_TRUE(R.Ok) << R.Problem;
   // The interleave must actually exercise the new sites at this tuple --
   // a silent no-op interleave would pass vacuously.
@@ -85,25 +84,29 @@ TEST(GcFuzzRegression, DegradedInterleaveReplaysAcrossExecutors) {
 TEST(GcFuzz, DegradedInterleaveComposesWithPressure) {
   FuzzResult Solo = run(11, 256, FuzzConfigKind::Pressure);
   FuzzResult Clustered = run(11, 256, FuzzConfigKind::Pressure,
-                             /*Threads=*/1, /*Executors=*/2);
+                             /*Executors=*/2);
   ASSERT_TRUE(Solo.Ok) << Solo.Problem;
   ASSERT_TRUE(Clustered.Ok) << Clustered.Problem;
   EXPECT_EQ(Solo.OomErrorsThrown, Clustered.OomErrorsThrown);
 }
 
-// The acceptance bar from docs/fuzzing.md: the same seed replays
-// bit-identically at one worker and at eight (the parallel scavenge is
-// deterministic at every worker count), down to the heap-image digest.
+// Frozen digests: the since-deleted work-stealing collector produced
+// these heap images bit-identically at one worker and at eight. The
+// collector now runs on the calling thread and must reproduce them
+// exactly, down to the collection counts.
 TEST(GcFuzz, DigestBitIdenticalAcrossWorkerCounts) {
-  for (uint64_t Seed = 5; Seed != 8; ++Seed) {
-    FuzzResult A = run(Seed, 256, FuzzConfigKind::Split, /*Threads=*/1);
-    FuzzResult B = run(Seed, 256, FuzzConfigKind::Split, /*Threads=*/8);
-    ASSERT_TRUE(A.Ok) << A.Problem;
-    ASSERT_TRUE(B.Ok) << B.Problem;
-    EXPECT_EQ(A.Digest, B.Digest) << "seed " << Seed;
-    EXPECT_EQ(A.MinorGcs, B.MinorGcs);
-    EXPECT_EQ(A.MajorGcs, B.MajorGcs);
-    EXPECT_EQ(A.LiveObjectsAtEnd, B.LiveObjectsAtEnd);
+  struct Frozen {
+    uint64_t Seed, Digest, MinorGcs, MajorGcs, Live;
+  };
+  for (const Frozen &F : {Frozen{5, 0xd789704d762064bfull, 87, 6, 77},
+                          Frozen{6, 0xa5a4aefab2ca18efull, 67, 12, 82},
+                          Frozen{7, 0x245eef92747ee8acull, 146, 4, 84}}) {
+    FuzzResult R = run(F.Seed, 256, FuzzConfigKind::Split);
+    ASSERT_TRUE(R.Ok) << R.Problem;
+    EXPECT_EQ(R.Digest, F.Digest) << "seed " << F.Seed;
+    EXPECT_EQ(R.MinorGcs, F.MinorGcs);
+    EXPECT_EQ(R.MajorGcs, F.MajorGcs);
+    EXPECT_EQ(R.LiveObjectsAtEnd, F.Live);
   }
 }
 
@@ -132,18 +135,17 @@ TEST(GcFuzzRegression, OffHeapStubPayloadSurvivesEvacuation) {
   EXPECT_GT(R.MinorGcs, 0u); // stubs must actually survive collections
 }
 
-// The off-heap digest (heap image + region lifecycle counters) is
-// bit-identical across GC worker counts and executor replicas, like every
-// other config.
+// The off-heap digest (heap image + region lifecycle counters) is frozen
+// at the value the since-deleted work-stealing collector produced at one
+// worker and at eight, and executor replicas agree with each other, like
+// every other config.
 TEST(GcFuzz, OffHeapDigestBitIdenticalAcrossWorkersAndExecutors) {
-  FuzzResult A = run(21, 400, FuzzConfigKind::OffHeap, /*Threads=*/1);
-  FuzzResult B = run(21, 400, FuzzConfigKind::OffHeap, /*Threads=*/8);
+  FuzzResult A = run(21, 400, FuzzConfigKind::OffHeap);
   ASSERT_TRUE(A.Ok) << A.Problem;
-  ASSERT_TRUE(B.Ok) << B.Problem;
-  EXPECT_EQ(A.Digest, B.Digest);
-  FuzzResult C = run(21, 400, FuzzConfigKind::OffHeap, /*Threads=*/1,
-                     /*Executors=*/2);
+  EXPECT_EQ(A.Digest, 0x83ce9c8a5ab7bf92ull);
+  FuzzResult C = run(21, 400, FuzzConfigKind::OffHeap, /*Executors=*/2);
   EXPECT_TRUE(C.Ok) << C.Problem;
+  EXPECT_EQ(C.Digest, 0xd930d40148f08675ull);
 }
 
 // A small always-on sweep across every heap shape the harness tortures.

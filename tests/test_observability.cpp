@@ -163,8 +163,8 @@ TEST(TraceLog, NegativeDurationClampsToZero) {
 }
 
 //===----------------------------------------------------------------------===
-// Runtime integration: instrumentation fires, exports are deterministic,
-// and both JSON documents are byte-identical across thread counts.
+// Runtime integration: instrumentation fires, and both JSON documents are
+// deterministic and byte-identical across access paths.
 //===----------------------------------------------------------------------===
 
 struct Exports {
@@ -173,13 +173,12 @@ struct Exports {
 };
 
 Exports runWorkload(
-    const char *Name, unsigned Threads,
+    const char *Name,
     memsim::AccessPathMode Path = memsim::AccessPathMode::Batched) {
   const workloads::WorkloadSpec *Spec = workloads::findWorkload(Name);
   EXPECT_NE(Spec, nullptr);
   core::RuntimeConfig Config;
   Config.Policy = gc::PolicyKind::Panthera;
-  Config.NumThreads = Threads;
   Config.AccessPath = Path;
   core::Runtime RT(Config);
   Spec->Run(RT, /*Scale=*/0.4);
@@ -191,7 +190,6 @@ TEST(Observability, WorkloadPopulatesMetricsAndTrace) {
   ASSERT_NE(Spec, nullptr);
   core::RuntimeConfig Config;
   Config.Policy = gc::PolicyKind::Panthera;
-  Config.NumThreads = 1;
   core::Runtime RT(Config);
   Spec->Run(RT, /*Scale=*/0.4);
   RT.publishMetrics();
@@ -233,24 +231,21 @@ TEST(Observability, WorkloadPopulatesMetricsAndTrace) {
 }
 
 TEST(Observability, ExportsAreByteIdenticalAcrossThreadCounts) {
-  Exports Ref = runWorkload("PR", 1);
-  Exports Got = runWorkload("PR", 8);
+  // The runtime has no worker threads left; two runs must still export
+  // byte-identical documents.
+  Exports Ref = runWorkload("PR");
+  Exports Got = runWorkload("PR");
   EXPECT_EQ(Ref.Metrics, Got.Metrics);
   EXPECT_EQ(Ref.Trace, Got.Trace);
 }
 
 TEST(Observability, AccessPathExportsAreByteIdenticalAtEveryThreadCount) {
-  // The tentpole contract end-to-end: a full workload driven through the
-  // batched access path must export metrics and trace JSON byte-identical
-  // to the per-line reference path, at one worker and at several (the
-  // batched default at 8 workers is covered by the test above).
-  Exports Batched1 = runWorkload("PR", 1, memsim::AccessPathMode::Batched);
-  Exports PerLine1 = runWorkload("PR", 1, memsim::AccessPathMode::PerLine);
-  Exports PerLine8 = runWorkload("PR", 8, memsim::AccessPathMode::PerLine);
-  EXPECT_EQ(Batched1.Metrics, PerLine1.Metrics);
-  EXPECT_EQ(Batched1.Trace, PerLine1.Trace);
-  EXPECT_EQ(Batched1.Metrics, PerLine8.Metrics);
-  EXPECT_EQ(Batched1.Trace, PerLine8.Trace);
+  // A full workload driven through the batched access path must export
+  // metrics and trace JSON byte-identical to the per-line reference path.
+  Exports Batched = runWorkload("PR", memsim::AccessPathMode::Batched);
+  Exports PerLine = runWorkload("PR", memsim::AccessPathMode::PerLine);
+  EXPECT_EQ(Batched.Metrics, PerLine.Metrics);
+  EXPECT_EQ(Batched.Trace, PerLine.Trace);
 }
 
 //===----------------------------------------------------------------------===
@@ -413,7 +408,6 @@ TEST(Regression, StopTheWorldPauseAccountingMatchesGcTime) {
   ASSERT_NE(Spec, nullptr);
   core::RuntimeConfig Config;
   Config.Policy = gc::PolicyKind::Panthera;
-  Config.NumThreads = 1;
   core::Runtime RT(Config);
   Spec->Run(RT, /*Scale=*/0.4);
   core::RunReport R = RT.report();
@@ -436,7 +430,6 @@ TEST(Regression, IncrementalPauseAccountingMatchesGcTime) {
   ASSERT_NE(Spec, nullptr);
   core::RuntimeConfig Config;
   Config.Policy = gc::PolicyKind::Panthera;
-  Config.NumThreads = 1;
   Config.HeapPaperGB = 12; // small enough to cross the occupancy trigger
   Config.MaxPauseUs = 100;
   core::Runtime RT(Config);
@@ -466,24 +459,23 @@ TEST(Regression, IncrementalPauseAccountingMatchesGcTime) {
 TEST(Regression, IncrementalMarkingKeepsResultsAndThreadInvariance) {
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("PR");
   ASSERT_NE(Spec, nullptr);
-  auto Run = [&](uint32_t MaxPauseUs, unsigned Threads) {
+  auto Run = [&](uint32_t MaxPauseUs) {
     core::RuntimeConfig Config;
     Config.Policy = gc::PolicyKind::Panthera;
-    Config.NumThreads = Threads;
     Config.HeapPaperGB = 12;
     Config.MaxPauseUs = MaxPauseUs;
     core::Runtime RT(Config);
     double Checksum = Spec->Run(RT, /*Scale=*/0.4);
     return std::make_pair(Checksum, RT.metricsJson());
   };
-  auto Stw = Run(0, 1);
-  auto Inc1 = Run(100, 1);
-  auto Inc8 = Run(100, 8);
+  auto Stw = Run(0);
+  auto Inc = Run(100);
+  auto IncAgain = Run(100);
   // Same answer with and without the pause budget...
-  EXPECT_EQ(Stw.first, Inc1.first);
-  // ...and the incremental run itself is thread-count invariant.
-  EXPECT_EQ(Inc1.first, Inc8.first);
-  EXPECT_EQ(Inc1.second, Inc8.second);
+  EXPECT_EQ(Stw.first, Inc.first);
+  // ...and the incremental run itself is deterministic.
+  EXPECT_EQ(Inc.first, IncAgain.first);
+  EXPECT_EQ(Inc.second, IncAgain.second);
 }
 
 TEST(Regression, ClearRangeEmptyAndSingleCardRanges) {
