@@ -396,7 +396,10 @@ TEST_F(GcTest, EventLogCountsPromotedBytes) {
 /// survivors can neither tenure by age nor be promoted, so their age must
 /// pin at 255 across further minor GCs instead of wrapping to 0 (which
 /// restarts the tenuring clock and strands hot objects in the nursery).
-TEST(GcAgeSaturation, SerialScavengeSaturatesAt255) {
+/// \p ViaHolder reaches the survivors through a rooted young array instead
+/// of one persistent root each, so their ages advance in the scavenge's
+/// copy queue rather than at root evacuation.
+void runAgeSaturationTest(bool ViaHolder) {
   HeapConfig HC = makeHeapConfig(PolicyKind::Panthera, 2, 1.0 / 3.0);
   HC.NativeBytes = PaperGB / 4;
   HC.Tuning.TenureAge = 255;
@@ -419,17 +422,31 @@ TEST(GcAgeSaturation, SerialScavengeSaturatesAt255) {
   H->setPendingArrayTag(MemTag::None, 0);
 
   // Rooted young objects one step from the age ceiling.
+  constexpr uint32_t N = 600;
   std::vector<size_t> Ids;
-  for (int I = 0; I != 600; ++I)
-    Ids.push_back(H->addPersistentRoot(H->allocPlain(0, 8)));
-  for (size_t Id : Ids)
-    H->header(H->persistentRoot(Id).addr())->Age = 254;
+  size_t HolderId = 0;
+  if (ViaHolder) {
+    HolderId = H->addPersistentRoot(H->allocRefArray(N));
+    for (uint32_t I = 0; I != N; ++I) {
+      ObjRef T = H->allocPlain(0, 8);
+      H->storeRef(H->persistentRoot(HolderId), I, T);
+    }
+  } else {
+    for (uint32_t I = 0; I != N; ++I)
+      Ids.push_back(H->addPersistentRoot(H->allocPlain(0, 8)));
+  }
+  auto survivor = [&](uint32_t I) {
+    return ViaHolder ? H->loadRef(H->persistentRoot(HolderId), I).addr()
+                     : H->persistentRoot(Ids[I]).addr();
+  };
+  for (uint32_t I = 0; I != N; ++I)
+    H->header(survivor(I))->Age = 254;
 
   C->collectMinor("age-saturation");
   C->collectMinor("age-saturation"); // the wrap step: 255 must stay 255
   size_t YoungAtCeiling = 0;
-  for (size_t Id : Ids) {
-    uint64_t Addr = H->persistentRoot(Id).addr();
+  for (uint32_t I = 0; I != N; ++I) {
+    uint64_t Addr = survivor(I);
     if (!H->isYoung(Addr))
       continue; // squeezed into a leftover old-gen gap; age preserved
     EXPECT_EQ(H->header(Addr)->Age, 255u) << "survivor age must saturate";
@@ -437,6 +454,15 @@ TEST(GcAgeSaturation, SerialScavengeSaturatesAt255) {
   }
   EXPECT_GE(YoungAtCeiling, 50u)
       << "test setup must strand objects at the age ceiling";
+}
+
+TEST(GcAgeSaturation, SerialScavengeSaturatesAt255) {
+  runAgeSaturationTest(/*ViaHolder=*/false);
+}
+// The name predates the serial collector; the variant now covers
+// survivors found through a young holder array.
+TEST(GcAgeSaturation, ParallelScavengeSaturatesAt255) {
+  runAgeSaturationTest(/*ViaHolder=*/true);
 }
 
 TEST(AccessMonitorSaturation, WindowCountSaturatesInsteadOfWrapping) {
