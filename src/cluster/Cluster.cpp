@@ -27,7 +27,6 @@ Executor::Executor(unsigned Id, const ClusterConfig &Config) : Id(Id) {
   Mem = std::make_unique<memsim::HybridMemory>(Total, Config.Technology,
                                                Config.Cache, Config.EpochNs,
                                                /*Registry=*/nullptr);
-  Mem->setAccessPath(Config.AccessPath);
   H = std::make_unique<heap::Heap>(HC, *Mem);
   // Claim the shuffle arena up front: the native region is never collected,
   // so per-shuffle reuse needs region recycling over one big claim. The

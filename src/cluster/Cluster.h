@@ -116,9 +116,6 @@ struct ClusterConfig {
   heap::HeapConfig ExecutorHeap;
   memsim::MemoryTechnology Technology;
   memsim::CacheConfig Cache;
-  /// Access implementation for the executors' simulated memories (the
-  /// Runtime copies its own setting so --memsim-path covers every clock).
-  memsim::AccessPathMode AccessPath = memsim::AccessPathMode::Batched;
   double EpochNs = 1.0e6;
   /// Deserialization CPU per record for blocks that overflowed an
   /// executor's native arena onto its local disk (EngineConfig's

@@ -38,7 +38,6 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
   Mem = std::make_unique<memsim::HybridMemory>(TotalBytes, Config.Technology,
                                                Config.Cache, Config.EpochNs,
                                                &Metrics);
-  Mem->setAccessPath(Config.AccessPath);
   TheHeap = std::make_unique<heap::Heap>(HC, *Mem);
   TheHeap->setTelemetry(&Metrics, &Trace);
   TheCollector =
@@ -109,7 +108,6 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
     CC.ExecutorHeap.NativeBytes = std::max<uint64_t>(PerExecNative, PaperGB);
     CC.Technology = Config.Technology;
     CC.Cache = Config.Cache;
-    CC.AccessPath = Config.AccessPath;
     CC.EpochNs = Config.EpochNs;
     CC.DiskNsPerRecord = Config.Engine.DiskRecordCpuNs;
     TheCluster = std::make_unique<cluster::Cluster>(CC, *Mem, &Trace);

@@ -61,11 +61,6 @@ struct RuntimeConfig {
   memsim::MemoryTechnology Technology;
   memsim::CacheConfig Cache;
   memsim::EnergyParams Energy;
-  /// Memory-simulator access implementation (--memsim-path). Batched is
-  /// the production fast path; PerLine is the reference loop kept for the
-  /// bit-identity diff. Applied to the driver's and every executor's
-  /// simulated memory.
-  memsim::AccessPathMode AccessPath = memsim::AccessPathMode::Batched;
   /// Fig 8 bandwidth-trace bucket, in simulated nanoseconds.
   double EpochNs = 100.0e3;
   /// GC tuning overrides (ablations flip these).

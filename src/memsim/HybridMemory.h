@@ -47,7 +47,8 @@ struct EpochSample {
 /// Which implementation services onAccess/onAccessRange. Both produce
 /// bit-identical simulated time, energy, traffic, cache statistics, and
 /// bandwidth trace; PerLine is the straight-line reference loop kept for
-/// differential testing (--memsim-path=per-line, ci.sh equivalence diff).
+/// differential testing (test_memsim, test_observability, micro_memsim);
+/// production runs only take Batched.
 enum class AccessPathMode {
   Batched, ///< Amortized device/prefetch/LLC bookkeeping per line run.
   PerLine, ///< Reference: one full pipeline evaluation per touched line.
@@ -83,13 +84,6 @@ struct TrafficShard {
         (Dram ? DramReads : NvmReads) += Run;
       L = PageLast + 1;
     }
-  }
-
-  void merge(const TrafficShard &O) {
-    DramReads += O.DramReads;
-    DramWrites += O.DramWrites;
-    NvmReads += O.NvmReads;
-    NvmWrites += O.NvmWrites;
   }
 };
 

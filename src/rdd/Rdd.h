@@ -354,28 +354,64 @@ private:
   void streamPartition(const RddRef &R, uint32_t P, const TupleSink &Sink);
   void streamMaterialized(const RddRef &R, uint32_t P,
                           const TupleSink &Sink);
-  /// Shuffle-fusion hooks threaded into materializeNarrow: \p Tee receives
-  /// every streamed tuple; Begin/End/Rollback bracket each per-partition
-  /// task so a failed map task can undo its partially-routed records.
-  struct ShuffleFusion {
+  /// One placed stage: its P per-partition tasks under the scheduling
+  /// protocol every materializing stage shares (§4.2.1: one task per
+  /// partition, each tagging the arrays it allocates). Construction opens
+  /// the stage on the cluster; run() places each task, runs it with
+  /// retry, and records where its output lives. The four storage-level
+  /// materializations, the shuffle map (fused or not) and the reduce all
+  /// run through one, so a per-stage policy needs one hook, here.
+  class StageTasks {
+  public:
+    /// Opens the stage: in cluster mode, folds the previous stage into the
+    /// makespan, applies scheduled elastic events, and draws the
+    /// slow-executor fault site once per live, still-healthy executor (a
+    /// fire degrades that executor for the rest of the run). Task I then
+    /// prefers the executor holding partition I of \p Local, falling back
+    /// to I's split owner; a \p Reducer stage instead prefers the executor
+    /// already holding most of shuffle partition I.
+    StageTasks(SparkContext &Ctx, const RddNode *Local, bool Reducer = false);
+    StageTasks(const StageTasks &) = delete;
+    StageTasks &operator=(const StageTasks &) = delete;
+
+    /// Runs task I = 0..P-1 as \p Body(I) under runTask, named \p Stage
+    /// and attributed to \p RddId. \p TaskRollback(I) undoes a failed
+    /// attempt's partial effects (may be null); the shuffle-map Rollback
+    /// hook runs after it.
+    void run(const std::string &Stage, uint32_t RddId,
+             const std::function<void(uint32_t)> &Body,
+             const std::function<void(uint32_t)> &TaskRollback = {});
+
+    /// Fused shuffle map: feeds \p T to the consuming shuffle's route
+    /// (re-rooted: routing may allocate). A no-op without a Tee.
+    void tee(heap::ObjRef &T);
+
+    //===--- shuffle-map hooks (all optional) ---------------------------===
+    /// Receives every tuple a fused materialization streams.
     const TupleSink *Tee = nullptr;
-    std::function<void()> BeginTask; ///< Snapshot the shuffle output state.
-    std::function<void()> EndTask;   ///< Flush route buffers to the output.
-    std::function<void()> Rollback;  ///< Restore the BeginTask snapshot.
-    /// Cluster mode: place the map task / register its outputs. Invoked
-    /// around each fused per-partition task (outside the retry body).
-    std::function<void(uint32_t)> BeforeTask;
-    std::function<void(uint32_t)> AfterTask;
-    /// Cluster mode: where BeforeTask recorded partition I's executor --
-    /// runTask reads it for straggler accounting and rewrites it when a
-    /// speculative copy wins, before AfterTask registers the outputs.
-    std::function<unsigned *(uint32_t)> ExecSlot;
+    /// Snapshots the shuffle output before each task, flushes the route
+    /// buffers at the end of each task body, and restores the snapshot
+    /// after a failed attempt, so a retry never routes a record twice.
+    std::function<void()> BeginTask, EndTask, Rollback;
+    /// Cluster mode: registers task I's map-output blocks on executor E
+    /// once it succeeds.
+    std::function<void(uint32_t I, unsigned E)> MapOutputs;
+
+    /// Cluster mode: the executor each task ran on. runTask rewrites the
+    /// slot when a speculative copy wins, so bodies read it, not a copy.
+    std::vector<unsigned> Exec;
+
+  private:
+    SparkContext &Ctx;
+    const RddNode *Local;
+    bool Reducer;
   };
 
-  /// Materializes a narrow persisted RDD, one retryable task per partition;
-  /// \p Fusion carries the consuming shuffle's sink and rollback hooks.
-  void materializeNarrow(const RddRef &R,
-                         const ShuffleFusion *Fusion = nullptr);
+  /// Materializes a narrow persisted RDD, one retryable task per partition.
+  /// Standalone it is its own placed stage; fused, it runs as the
+  /// consuming shuffle's already-open \p MapStage, teeing every tuple into
+  /// the shuffle.
+  void materializeNarrow(const RddRef &R, StageTasks *MapStage = nullptr);
   void materializeWide(const RddRef &R);
   void finishAction();
 
@@ -399,10 +435,6 @@ private:
   /// Same capped exponential schedule for a failed transient block fetch,
   /// with a `backoff` trace span and cluster.fetch_retry.* accounting.
   void chargeFetchBackoff(uint32_t Attempt, uint32_t Map, uint32_t Reduce);
-  /// Cluster mode: opens a scheduler stage (elastic events apply, loads
-  /// reset) and draws the slow-executor fault site once per live healthy
-  /// executor -- a fire degrades that executor for the rest of the run.
-  void clusterBeginStage();
   /// Re-materializes every cache recorded in LostCaches (injection
   /// suppressed while recovering).
   void recoverLostCaches();
@@ -457,17 +489,19 @@ private:
                                    const std::vector<heap::ObjRef> &) =
       delete; // tuples cannot live in native vectors across GC
 
-  void installMaterialized(const RddRef &R, heap::ObjRef Top);
+  /// Roots the per-partition directory \p Dir under \p R's top object and
+  /// marks R materialized. rdd_alloc stamps \p Tag on the top object too,
+  /// so the root task promotes it to the right space (§4.2.1).
+  void installMaterialized(const RddRef &R, const heap::GcRoot &Dir,
+                           MemTag Tag);
 
   //===--- cluster mode (docs/cluster.md) ---------------------------------===
   /// Control-plane state of the shuffle currently tracked by the cluster:
   /// what a lost map output needs for a lineage re-run. The data plane
   /// (the driver-side buckets) is untouched by executor loss.
   struct ActiveClusterShuffle {
-    bool Active = false;
     RddRef Parent;
     std::function<uint32_t(int64_t)> Partitioner;
-    std::vector<unsigned> MapExec; ///< Executor that ran each map task.
     /// Map tasks whose registered outputs died with an executor; the next
     /// reduce attempt re-runs them before fetching.
     std::vector<uint32_t> PendingRecompute;

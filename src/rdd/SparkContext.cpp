@@ -16,11 +16,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 using namespace panthera;
@@ -56,6 +55,12 @@ const char *panthera::rdd::opKindName(OpKind K) {
     return "sortByKey";
   }
   return "?";
+}
+
+/// "<Kind> <op> '<var>'": the name of a stage over \p R and of its tasks.
+static std::string stageName(const char *Kind, const RddNode &R) {
+  return std::string(Kind) + " " + opKindName(R.Op) +
+         (R.VarName.empty() ? std::string() : " '" + R.VarName + "'");
 }
 
 /// Shuffle partitioner: SplitMix64 finalizer over the key, mod partitions.
@@ -386,21 +391,6 @@ void SparkContext::chargeFetchBackoff(uint32_t Attempt, uint32_t Map,
         .arg("attempt", static_cast<uint64_t>(Attempt));
 }
 
-void SparkContext::clusterBeginStage() {
-  // Stage boundary on the cluster sim: fold the previous stage into the
-  // makespan, apply any scheduled elastic events, then give the slow-
-  // executor fault site one draw per live, still-healthy executor. The
-  // draw order is the executor index order, so the schedule is a pure
-  // function of the fault seed and the stage sequence.
-  Clstr->beginStage();
-  if (!Faults)
-    return;
-  for (unsigned E = 0; E != Clstr->numExecutors(); ++E)
-    if (Clstr->executorAlive(E) && Clstr->slowdown(E) == 1.0 &&
-        Faults->shouldFail(FaultSite::SlowExecutor))
-      Clstr->degradeExecutor(E);
-}
-
 void SparkContext::recoverLostCaches() {
   while (!LostCaches.empty()) {
     RddRef R = LostCaches.back();
@@ -467,10 +457,6 @@ void SparkContext::runTask(const std::string &Stage, uint32_t RddId,
 
   for (uint32_t Attempt = 1;; ++Attempt) {
     Rec.Attempts = Attempt;
-    // Debugging aid for fault plans: per-attempt task log on stderr.
-    if (std::getenv("PANTHERA_TRACE_TASKS"))
-      std::fprintf(stderr, "[task] %s p%u attempt %u\n", Stage.c_str(),
-                   Partition, Attempt);
     try {
       if (Faults && Faults->shouldFail(FaultSite::TaskExecution)) {
         ++Stats.InjectedTaskFailures;
@@ -489,9 +475,6 @@ void SparkContext::runTask(const std::string &Stage, uint32_t RddId,
         cluster::Cluster::SpeculationOutcome O =
             Clstr->accountTask(*PlacedExec, BaseNs);
         if (O.CopyWon) {
-          if (std::getenv("PANTHERA_TRACE_TASKS"))
-            std::fprintf(stderr, "[spec] %s p%u copy won on exec %u\n",
-                         Stage.c_str(), Partition, O.CopyExec);
           *PlacedExec = O.CopyExec;
           Cleanup();
           FaultSuppressionScope Scope(Faults);
@@ -792,7 +775,14 @@ void SparkContext::streamMaterialized(const RddRef &R, uint32_t P,
 // Materialization
 //===----------------------------------------------------------------------===
 
-void SparkContext::installMaterialized(const RddRef &R, ObjRef Top) {
+void SparkContext::installMaterialized(const RddRef &R, const GcRoot &Dir,
+                                       MemTag Tag) {
+  ObjRef Top = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/0);
+  heap::ObjectHeader *TopHdr = H.header(Top.addr());
+  TopHdr->RddId = R->Id;
+  if (Tag != MemTag::None)
+    TopHdr->setMemTag(Tag);
+  H.storeRef(Top, 0, Dir.get());
   R->TopRootId = H.addPersistentRoot(Top);
   R->Materialized = true;
   R->LastUse = ++UseClock;
@@ -903,70 +893,101 @@ bool SparkContext::spillOffHeapVictim(const RddRef &Current,
   return true;
 }
 
-void SparkContext::materializeNarrow(const RddRef &R,
-                                     const ShuffleFusion *Fusion) {
+//===----------------------------------------------------------------------===
+// Placed stages
+//===----------------------------------------------------------------------===
+
+SparkContext::StageTasks::StageTasks(SparkContext &Ctx, const RddNode *Local,
+                                     bool Reducer)
+    : Ctx(Ctx), Local(Local), Reducer(Reducer) {
+  cluster::Cluster *CL = Ctx.Clstr;
+  if (!CL)
+    return;
+  Exec.assign(Ctx.Config.NumPartitions, 0);
+  // The draw order is the executor index order, so the slow-executor
+  // schedule is a pure function of the fault seed and the stage sequence.
+  CL->beginStage();
+  if (!Ctx.Faults)
+    return;
+  for (unsigned E = 0; E != CL->numExecutors(); ++E)
+    if (CL->executorAlive(E) && CL->slowdown(E) == 1.0 &&
+        Ctx.Faults->shouldFail(FaultSite::SlowExecutor))
+      CL->degradeExecutor(E);
+}
+
+void SparkContext::StageTasks::run(
+    const std::string &Stage, uint32_t RddId,
+    const std::function<void(uint32_t)> &Body,
+    const std::function<void(uint32_t)> &TaskRollback) {
+  cluster::Cluster *CL = Ctx.Clstr;
+  for (uint32_t I = 0; I != Ctx.Config.NumPartitions; ++I) {
+    // Placement is lazy -- immediately before each task, not up front for
+    // the whole stage -- so a straggler flagged by an earlier task is
+    // already steered around when the later ones place.
+    if (CL) {
+      int Pref;
+      if (Reducer) {
+        Pref = CL->preferredReducer(I);
+      } else {
+        Pref = Local ? CL->partitionLocation(Local->Id, I) : -1;
+        if (Pref < 0)
+          Pref = CL->splitOwner(I);
+      }
+      Exec[I] = CL->placeTask(Pref);
+    }
+    if (BeginTask)
+      BeginTask();
+    Ctx.runTask(
+        Stage, RddId, I,
+        [&] {
+          Body(I);
+          if (EndTask)
+            EndTask();
+        },
+        [&] {
+          if (TaskRollback)
+            TaskRollback(I);
+          if (Rollback)
+            Rollback();
+        },
+        CL ? &Exec[I] : nullptr);
+    if (CL) {
+      // Register the map outputs where the (possibly speculative) winner
+      // ran; later stages over this RDD then prefer that executor.
+      if (MapOutputs)
+        MapOutputs(I, Exec[I]);
+      CL->recordPartitionLocation(RddId, I, Exec[I]);
+    }
+  }
+}
+
+void SparkContext::StageTasks::tee(ObjRef &T) {
+  if (!Tee)
+    return;
+  GcRoot Saved(Ctx.H, T);
+  (*Tee)(T);
+  T = Saved.get();
+}
+
+//===----------------------------------------------------------------------===
+// Materialization stages
+//===----------------------------------------------------------------------===
+
+void SparkContext::materializeNarrow(const RddRef &R, StageTasks *MapStage) {
   uint32_t P = Config.NumPartitions;
   MemTag Tag = Config.UseStaticTags ? R->EffectiveTag : MemTag::None;
-  const TupleSink *Tee = Fusion ? Fusion->Tee : nullptr;
-  PANTHERA_CHECK(!Tee || isHeapLevel(R->Level),
+  PANTHERA_CHECK(!MapStage || isHeapLevel(R->Level),
                  "shuffle fusion applies to heap-materialized RDDs only");
   maybeEvictStorage();
-  std::string Stage =
-      std::string("materialize ") + opKindName(R->Op) +
-      (R->VarName.empty() ? std::string() : " '" + R->VarName + "'");
+  std::string Stage = stageName("materialize", *R);
   StageScope Span(*this, Stage);
-  // Cluster mode, standalone materialization: place each per-partition
-  // task by its parent's locality and record where the result lives. A
-  // fused materialization is placed by the consuming shuffle's hooks.
-  std::vector<unsigned> TaskExec;
-  if (Clstr && !Fusion) {
-    clusterBeginStage();
-    TaskExec.assign(P, 0);
-  }
-  // Pointer handed to runTask for straggler detection: the standalone
-  // cluster path owns TaskExec; a fused map task's slot belongs to the
-  // consuming shuffle.
-  auto ExecPtr = [&](uint32_t I) -> unsigned * {
-    if (Clstr && !Fusion)
-      return &TaskExec[I];
-    if (Fusion && Fusion->ExecSlot)
-      return Fusion->ExecSlot(I);
-    return nullptr;
-  };
-  auto Place = [&](uint32_t I) {
-    if (!Clstr || Fusion)
-      return;
-    int Pref = R->Parents.empty()
-                   ? -1
-                   : Clstr->partitionLocation(R->Parents[0]->Id, I);
-    if (Pref < 0)
-      Pref = Clstr->splitOwner(I);
-    TaskExec[I] = Clstr->placeTask(Pref);
-  };
-  auto Placed = [&](uint32_t I) {
-    if (Clstr && !Fusion)
-      Clstr->recordPartitionLocation(R->Id, I, TaskExec[I]);
-  };
-  // Bracket each per-partition task with the consuming shuffle's
-  // snapshot/flush/rollback hooks so a failed fused map task can undo the
-  // records it already routed.
-  auto FusionBegin = [&](uint32_t I) {
-    if (Fusion && Fusion->BeforeTask)
-      Fusion->BeforeTask(I);
-    if (Fusion && Fusion->BeginTask)
-      Fusion->BeginTask();
-  };
-  auto FusionAfter = [&](uint32_t I) {
-    if (Fusion && Fusion->AfterTask)
-      Fusion->AfterTask(I);
-  };
-  auto FusionEnd = [&] {
-    if (Fusion && Fusion->EndTask)
-      Fusion->EndTask();
-  };
-  std::function<void()> FusionRollback;
-  if (Fusion && Fusion->Rollback)
-    FusionRollback = Fusion->Rollback;
+  // Standalone, each task prefers the executor holding its parent
+  // partition; fused, the consuming shuffle already opened the stage.
+  std::optional<StageTasks> Own;
+  StageTasks &Tasks =
+      MapStage ? *MapStage
+               : Own.emplace(*this, R->Parents.empty() ? nullptr
+                                                       : R->Parents[0].get());
 
   if (R->Level == StorageLevel::OffHeapSer && R->PersistRequested) {
     // Off-heap region tier (docs/offheap.md): serialize each partition
@@ -976,60 +997,51 @@ void SparkContext::materializeNarrow(const RddRef &R,
     R->OffHeapStubs = true;
     GcRoot Dir(H, H.allocRefArray(P));
     RddContext Ctx(H);
-    for (uint32_t I = 0; I != P; ++I) {
-      Place(I);
-      uint32_t PlacedRegion = offheap::NoRegion;
-      runTask(
-          Stage, R->Id, I,
-          [&] {
-            PlacedRegion = offheap::NoRegion;
-            std::vector<SourceRecord> Rows;
-            streamPartition(R, I, [&](ObjRef T) {
-              Rows.push_back({Ctx.key(T), Ctx.value(T)});
-              H.memory().addCpuWorkNs(Config.ShuffleRecordCpuNs);
-            });
-            // Budget pressure sheds untouched regions first; when nothing
-            // is left to shed, this partition falls back to executor
-            // "disk" behind a NoAddress stub (the staged-OOM spill path).
-            offheap::OffHeapCache::Placement Pl;
-            while (true) {
-              Pl = OffHeap->cachePartition(Rows.data(), Rows.size(),
-                                           sizeof(SourceRecord), R->Id, I);
-              if (Pl.Region != offheap::NoRegion ||
-                  !spillOffHeapVictim(R, Dir.get()))
-                break;
-            }
-            PlacedRegion = Pl.Region;
-            if (Pl.Region == offheap::NoRegion) {
-              if (R->DiskParts.empty())
-                R->DiskParts.assign(P, {});
-              H.memory().addCpuWorkNs(static_cast<double>(Rows.size()) *
-                                      Config.DiskRecordCpuNs);
-              R->DiskParts[I] = std::move(Rows);
-              Pl.Addr = offheap::NoAddress;
-            }
-            ObjRef Stub = H.allocOffHeapStub(
-                Pl.Addr, Pl.Region, static_cast<uint32_t>(Rows.size()),
-                R->Id);
-            H.storeRef(Dir.get(), I, Stub);
-          },
-          [&] {
-            // A failed attempt may have placed a region (e.g. OOM while
-            // allocating the stub) or spilled rows; undo both.
-            if (PlacedRegion != offheap::NoRegion) {
-              OffHeap->release(PlacedRegion, /*Evicted=*/false);
-              PlacedRegion = offheap::NoRegion;
-            }
-            if (!R->DiskParts.empty())
-              R->DiskParts[I].clear();
-          },
-          ExecPtr(I));
-      Placed(I);
-    }
-    ObjRef Top = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/0);
-    H.header(Top.addr())->RddId = R->Id;
-    H.storeRef(Top, 0, Dir.get());
-    installMaterialized(R, Top);
+    std::vector<uint32_t> PlacedRegion(P, offheap::NoRegion);
+    Tasks.run(
+        Stage, R->Id,
+        [&](uint32_t I) {
+          PlacedRegion[I] = offheap::NoRegion;
+          std::vector<SourceRecord> Rows;
+          streamPartition(R, I, [&](ObjRef T) {
+            Rows.push_back({Ctx.key(T), Ctx.value(T)});
+            H.memory().addCpuWorkNs(Config.ShuffleRecordCpuNs);
+          });
+          // Budget pressure sheds untouched regions first; when nothing
+          // is left to shed, this partition falls back to executor
+          // "disk" behind a NoAddress stub (the staged-OOM spill path).
+          offheap::OffHeapCache::Placement Pl;
+          while (true) {
+            Pl = OffHeap->cachePartition(Rows.data(), Rows.size(),
+                                         sizeof(SourceRecord), R->Id, I);
+            if (Pl.Region != offheap::NoRegion ||
+                !spillOffHeapVictim(R, Dir.get()))
+              break;
+          }
+          PlacedRegion[I] = Pl.Region;
+          if (Pl.Region == offheap::NoRegion) {
+            if (R->DiskParts.empty())
+              R->DiskParts.assign(P, {});
+            H.memory().addCpuWorkNs(static_cast<double>(Rows.size()) *
+                                    Config.DiskRecordCpuNs);
+            R->DiskParts[I] = std::move(Rows);
+            Pl.Addr = offheap::NoAddress;
+          }
+          ObjRef Stub = H.allocOffHeapStub(
+              Pl.Addr, Pl.Region, static_cast<uint32_t>(Rows.size()), R->Id);
+          H.storeRef(Dir.get(), I, Stub);
+        },
+        [&](uint32_t I) {
+          // A failed attempt may have placed a region (e.g. OOM while
+          // allocating the stub) or spilled rows; undo both.
+          if (PlacedRegion[I] != offheap::NoRegion) {
+            OffHeap->release(PlacedRegion[I], /*Evicted=*/false);
+            PlacedRegion[I] = offheap::NoRegion;
+          }
+          if (!R->DiskParts.empty())
+            R->DiskParts[I].clear();
+        });
+    installMaterialized(R, Dir, MemTag::None);
     if (std::find(OffHeapStore.begin(), OffHeapStore.end(), R) ==
         OffHeapStore.end())
       OffHeapStore.push_back(R);
@@ -1037,124 +1049,67 @@ void SparkContext::materializeNarrow(const RddRef &R,
   }
   if (R->Level == StorageLevel::DiskOnly && R->PersistRequested) {
     R->DiskParts.assign(P, {});
-    for (uint32_t I = 0; I != P; ++I) {
-      Place(I);
-      runTask(
-          Stage, R->Id, I,
-          [&] {
-            RddContext Ctx(H);
-            streamPartition(R, I, [&](ObjRef T) {
-              R->DiskParts[I].push_back({Ctx.key(T), Ctx.value(T)});
-            });
-          },
-          [&] { R->DiskParts[I].clear(); }, ExecPtr(I));
-      Placed(I);
-    }
+    RddContext Ctx(H);
+    Tasks.run(
+        Stage, R->Id,
+        [&](uint32_t I) {
+          streamPartition(R, I, [&](ObjRef T) {
+            R->DiskParts[I].push_back({Ctx.key(T), Ctx.value(T)});
+          });
+        },
+        [&](uint32_t I) { R->DiskParts[I].clear(); });
     R->Materialized = true;
     ++Stats.RddsMaterialized;
     return;
   }
 
+  GcRoot Dir(H, H.allocRefArray(P));
   if (isHeapLevel(R->Level) && isSerializedLevel(R->Level)) {
     // Serialized in-memory storage: each partition is ONE primitive array
     // of (key, value-bits) pairs. No tuple objects survive, so the cache
     // is nearly invisible to the GC -- which is why the paper persists
     // its fault-tolerance caches (e.g. PageRank's contribs) this way.
-    GcRoot Dir(H, H.allocRefArray(P));
     RddContext Ctx(H);
-    for (uint32_t I = 0; I != P; ++I) {
-      Place(I);
-      FusionBegin(I);
-      runTask(
-          Stage, R->Id, I,
-          [&] {
-            std::vector<SourceRecord> Rows;
-            streamPartition(R, I, [&](ObjRef T) {
-              if (Tee) {
-                GcRoot Saved(H, T);
-                (*Tee)(T);
-                T = Saved.get();
-              }
-              Rows.push_back({Ctx.key(T), Ctx.value(T)});
-              H.memory().addCpuWorkNs(Config.ShuffleRecordCpuNs);
-            });
-            if (Tag != MemTag::None)
-              H.setPendingArrayTag(Tag, R->Id);
-            ObjRef Buf =
-                H.allocPrimArray(static_cast<uint32_t>(Rows.size()) * 2, 8);
-            H.setPendingArrayTag(MemTag::None, 0);
-            H.header(Buf.addr())->RddId = R->Id;
-            {
-              // Serialize through one bulk element-granular store: the
-              // interleaved (key, value-bits) image is staged host-side,
-              // then written as a single range — no allocation intervenes,
-              // so the store sequence is exactly the old per-element loop.
-              GcRoot BufRoot(H, Buf);
-              std::vector<int64_t> Bits(Rows.size() * 2);
-              for (uint32_t J = 0; J != Rows.size(); ++J) {
-                Bits[2 * J] = Rows[J].Key;
-                std::memcpy(&Bits[2 * J + 1], &Rows[J].Val,
-                            sizeof(int64_t));
-              }
-              H.storeElemsI64(BufRoot.get(), 0,
-                              static_cast<uint32_t>(Bits.size()),
-                              Bits.data());
-              H.storeRef(Dir.get(), I, BufRoot.get());
-            }
-            FusionEnd();
-          },
-          FusionRollback, ExecPtr(I));
-      FusionAfter(I);
-      Placed(I);
-    }
-    ObjRef Top = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/0);
-    heap::ObjectHeader *TopHdr = H.header(Top.addr());
-    TopHdr->RddId = R->Id;
-    if (Tag != MemTag::None)
-      TopHdr->setMemTag(Tag);
-    H.storeRef(Top, 0, Dir.get());
+    Tasks.run(Stage, R->Id, [&](uint32_t I) {
+      std::vector<SourceRecord> Rows;
+      streamPartition(R, I, [&](ObjRef T) {
+        Tasks.tee(T);
+        Rows.push_back({Ctx.key(T), Ctx.value(T)});
+        H.memory().addCpuWorkNs(Config.ShuffleRecordCpuNs);
+      });
+      if (Tag != MemTag::None)
+        H.setPendingArrayTag(Tag, R->Id);
+      ObjRef Buf = H.allocPrimArray(static_cast<uint32_t>(Rows.size()) * 2, 8);
+      H.setPendingArrayTag(MemTag::None, 0);
+      H.header(Buf.addr())->RddId = R->Id;
+      // Serialize through one bulk element-granular store: the interleaved
+      // (key, value-bits) image is staged host-side, then written as a
+      // single range -- no allocation intervenes, so the store sequence is
+      // exactly a per-element loop's.
+      GcRoot BufRoot(H, Buf);
+      std::vector<int64_t> Bits(Rows.size() * 2);
+      for (uint32_t J = 0; J != Rows.size(); ++J) {
+        Bits[2 * J] = Rows[J].Key;
+        std::memcpy(&Bits[2 * J + 1], &Rows[J].Val, sizeof(int64_t));
+      }
+      H.storeElemsI64(BufRoot.get(), 0, static_cast<uint32_t>(Bits.size()),
+                      Bits.data());
+      H.storeRef(Dir.get(), I, BufRoot.get());
+    });
     R->SerializedInMemory = true;
-    installMaterialized(R, Top);
-    return;
+  } else {
+    // Heap materialization: directory -> per-partition arrays of tuples.
+    Tasks.run(Stage, R->Id, [&](uint32_t I) {
+      PartitionBuilder Builder(H);
+      streamPartition(R, I, [&](ObjRef T) {
+        Tasks.tee(T);
+        Builder.append(T);
+      });
+      ObjRef Arr = Builder.finish(Tag, R->Id);
+      H.storeRef(Dir.get(), I, Arr);
+    });
   }
-
-  // Heap materialization: directory -> per-partition arrays of tuples.
-  GcRoot Dir(H, H.allocRefArray(P));
-  for (uint32_t I = 0; I != P; ++I) {
-    Place(I);
-    FusionBegin(I);
-    runTask(
-        Stage, R->Id, I,
-        [&] {
-          PartitionBuilder Builder(H);
-          streamPartition(R, I, [&](ObjRef T) {
-            if (Tee) {
-              // Shuffle fusion: feed the consuming shuffle in the same
-              // pass. The tee may allocate (spill buffers), so re-root
-              // the tuple.
-              GcRoot Saved(H, T);
-              (*Tee)(T);
-              T = Saved.get();
-            }
-            Builder.append(T);
-          });
-          ObjRef Arr = Builder.finish(Tag, R->Id);
-          H.storeRef(Dir.get(), I, Arr);
-          FusionEnd();
-        },
-        FusionRollback, ExecPtr(I));
-    FusionAfter(I);
-    Placed(I);
-  }
-  // rdd_alloc also stamps the *top* object's MEMORY_BITS so the root task
-  // promotes it to the right space (§4.2.1).
-  ObjRef Top = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/0);
-  heap::ObjectHeader *TopHdr = H.header(Top.addr());
-  TopHdr->RddId = R->Id;
-  if (Tag != MemTag::None)
-    TopHdr->setMemTag(Tag);
-  H.storeRef(Top, 0, Dir.get());
-  installMaterialized(R, Top);
+  installMaterialized(R, Dir, Tag);
 }
 
 SparkContext::Buckets
@@ -1164,11 +1119,7 @@ SparkContext::shuffle(const RddRef &Parent,
   RddContext Ctx(H);
   memsim::HybridMemory &Mem = H.memory();
   ++Stats.StagesRun;
-  StageScope Span(*this,
-                  std::string("shuffle ") + opKindName(Parent->Op) +
-                      (Parent->VarName.empty()
-                           ? std::string()
-                           : " '" + Parent->VarName + "'"));
+  StageScope Span(*this, stageName("shuffle", *Parent));
 
   // Map side. As in Spark, the shuffle's write buffers are heap data: the
   // routed records accumulate in per-target-partition buffers that stay
@@ -1212,23 +1163,35 @@ SparkContext::shuffle(const RddRef &Parent,
     }
   };
 
+  // Cluster mode (docs/cluster.md): this stage is the map side of a
+  // distributed shuffle. Map task I prefers the executor holding partition
+  // I of Parent; after it succeeds, the records it routed to each
+  // target partition register as per-executor blocks with the map output
+  // tracker. The buckets in Out remain the data plane either way.
+  if (Clstr) {
+    ClusterShuffle.Parent = Parent;
+    ClusterShuffle.Partitioner = Partitioner;
+    ClusterShuffle.PendingRecompute.clear();
+    Clstr->beginShuffle(P, P);
+  }
+  StageTasks Map(*this, Parent.get());
   // Task bracketing: every map task ends by flushing all route buffers
   // into Out, so a failed attempt can restore Out to its task-start
   // snapshot and clear the buffers without disturbing earlier tasks'
   // records. Each record is still written exactly once.
   std::vector<size_t> OutSnapshot(P, 0);
   uint64_t RecordsSnapshot = 0, SpillsSnapshot = 0;
-  auto BeginTask = [&] {
+  Map.BeginTask = [&] {
     for (uint32_t I = 0; I != P; ++I)
       OutSnapshot[I] = Out[I].size();
     RecordsSnapshot = Stats.ShuffleRecords;
     SpillsSnapshot = Stats.ShuffleSpills;
   };
-  auto EndTask = [&] {
+  Map.EndTask = [&] {
     for (uint32_t I = 0; I != P; ++I)
       Spill(I);
   };
-  auto Rollback = [&] {
+  Map.Rollback = [&] {
     for (uint32_t I = 0; I != P; ++I) {
       Buffers[I].clear();
       Out[I].resize(OutSnapshot[I]);
@@ -1236,75 +1199,23 @@ SparkContext::shuffle(const RddRef &Parent,
     Stats.ShuffleRecords = RecordsSnapshot;
     Stats.ShuffleSpills = SpillsSnapshot;
   };
-
-  // Cluster mode (docs/cluster.md): this stage is the map side of a
-  // distributed shuffle. Each map task is placed by its parent
-  // partition's locality; after it succeeds, the records it routed to
-  // each target partition register as per-executor blocks with the map
-  // output tracker. The buckets in Out remain the data plane either way.
-  std::function<void(uint32_t)> PlaceMap, RegisterMapOutputs;
-  if (Clstr) {
-    ClusterShuffle.Active = true;
-    ClusterShuffle.Parent = Parent;
-    ClusterShuffle.Partitioner = Partitioner;
-    ClusterShuffle.MapExec.assign(P, 0);
-    ClusterShuffle.PendingRecompute.clear();
-    Clstr->beginShuffle(P, P);
-    clusterBeginStage();
-    PlaceMap = [&](uint32_t M) {
-      int Pref = Clstr->partitionLocation(Parent->Id, M);
-      if (Pref < 0)
-        Pref = Clstr->splitOwner(M);
-      ClusterShuffle.MapExec[M] = Clstr->placeTask(Pref);
-    };
-    RegisterMapOutputs = [&](uint32_t M) {
-      unsigned E = ClusterShuffle.MapExec[M];
-      for (uint32_t T = 0; T != P; ++T) {
-        uint64_t Count = Out[T].size() - OutSnapshot[T];
-        Clstr->registerMapOutput(M, T, E, Out[T].data() + OutSnapshot[T],
-                                 Count * sizeof(SourceRecord), Count,
-                                 OutSnapshot[T]);
-      }
-      // The computed parent partition now lives on E; later stages over
-      // the same parent prefer it.
-      Clstr->recordPartitionLocation(Parent->Id, M, E);
-    };
-  }
+  Map.MapOutputs = [&](uint32_t M, unsigned E) {
+    for (uint32_t T = 0; T != P; ++T) {
+      uint64_t Count = Out[T].size() - OutSnapshot[T];
+      Clstr->registerMapOutput(M, T, E, Out[T].data() + OutSnapshot[T],
+                               Count * sizeof(SourceRecord), Count,
+                               OutSnapshot[T]);
+    }
+  };
 
   if (canFuseIntoShuffle(Parent)) {
     // Materialize the persist-pending parent and write the shuffle in one
     // streaming pass: its cached partitions are written once, not re-read.
-    ShuffleFusion Fusion;
-    Fusion.Tee = &Route;
-    Fusion.BeginTask = BeginTask;
-    Fusion.EndTask = EndTask;
-    Fusion.Rollback = Rollback;
-    Fusion.BeforeTask = PlaceMap;
-    Fusion.AfterTask = RegisterMapOutputs;
-    if (Clstr)
-      Fusion.ExecSlot = [this](uint32_t M) {
-        return &ClusterShuffle.MapExec[M];
-      };
-    materializeNarrow(Parent, &Fusion);
+    Map.Tee = &Route;
+    materializeNarrow(Parent, &Map);
   } else {
-    std::string Stage =
-        std::string("shuffle map ") + opKindName(Parent->Op) +
-        (Parent->VarName.empty() ? std::string()
-                                 : " '" + Parent->VarName + "'");
-    for (uint32_t I = 0; I != P; ++I) {
-      if (PlaceMap)
-        PlaceMap(I);
-      BeginTask();
-      runTask(
-          Stage, Parent->Id, I,
-          [&] {
-            streamPartition(Parent, I, Route);
-            EndTask();
-          },
-          Rollback, Clstr ? &ClusterShuffle.MapExec[I] : nullptr);
-      if (RegisterMapOutputs)
-        RegisterMapOutputs(I);
-    }
+    Map.run(stageName("shuffle map", *Parent), Parent->Id,
+            [&](uint32_t I) { streamPartition(Parent, I, Route); });
   }
   return Out;
 }
@@ -1314,10 +1225,8 @@ void SparkContext::materializeWide(const RddRef &R) {
   MemTag Tag = Config.UseStaticTags ? R->EffectiveTag : MemTag::None;
   maybeEvictStorage();
   RddContext Ctx(H);
-  StageScope Span(*this, std::string("reduce ") + opKindName(R->Op) +
-                             (R->VarName.empty()
-                                  ? std::string()
-                                  : " '" + R->VarName + "'"));
+  std::string Stage = stageName("reduce", *R);
+  StageScope Span(*this, Stage);
 
   // sortByKey first runs a sampling pass over its parent to choose range
   // splitters (Spark's RangePartitioner does the same extra job).
@@ -1355,37 +1264,56 @@ void SparkContext::materializeWide(const RddRef &R) {
 
   Buckets In = shuffle(R->Parents[0], Partitioner);
 
-  // Cluster mode: place each reduce task where most of its shuffle bytes
-  // already sit, then account its block fetches (local free, remote over
-  // the fabric) inside the retryable task body -- an injected executor
-  // loss surfaces there as a lost-block fetch failure, and the retry
-  // re-runs the lost map tasks from lineage first.
-  std::vector<unsigned> ReduceExec;
-  if (Clstr) {
-    clusterBeginStage();
-    ReduceExec.assign(P, 0);
-  }
-
+  // Cluster mode: each reduce task prefers the executor where most of its
+  // shuffle bytes already sit, then accounts its block fetches (local
+  // free, remote over the fabric) inside the retryable task body -- an
+  // injected executor loss surfaces there as a lost-block fetch failure,
+  // and the retry re-runs the lost map tasks from lineage first.
+  StageTasks Reduce(*this, nullptr, /*Reducer=*/true);
   GcRoot Dir(H, H.allocRefArray(P));
-  std::string Stage =
-      std::string("reduce ") + opKindName(R->Op) +
-      (R->VarName.empty() ? std::string() : " '" + R->VarName + "'");
+  // The output array of one reduce task, tagged by rdd_alloc (§4.2.1).
+  auto AllocOutput = [&](size_t Len) {
+    if (Tag != MemTag::None)
+      H.setPendingArrayTag(Tag, R->Id);
+    ObjRef Arr = H.allocRefArray(static_cast<uint32_t>(Len));
+    H.setPendingArrayTag(MemTag::None, 0);
+    H.header(Arr.addr())->RddId = R->Id;
+    return Arr;
+  };
   // One retryable reduce task per partition. The shuffle buckets in `In`
   // stay intact across attempts, so a retry re-fetches the same input; all
   // heap effects before the final directory store are discarded garbage.
-  for (uint32_t I = 0; I != P; ++I) {
-    // Placement is lazy -- immediately before each task, not up front for
-    // the whole stage -- so a straggler flagged by an earlier reduce task
-    // is already steered around when the later ones place.
-    if (Clstr)
-      ReduceExec[I] = Clstr->placeTask(Clstr->preferredReducer(I));
-    runTask(Stage, R->Id, I, [&] {
+  Reduce.run(Stage, R->Id, [&](uint32_t I) {
     if (Faults && Faults->shouldFail(FaultSite::ShuffleFetch))
       throw TaskFailure("injected shuffle fetch failure in stage '" + Stage +
                         "', partition " + std::to_string(I));
     if (Clstr)
-      fetchShuffleInputs(In, I, ReduceExec[I]);
-    std::vector<SourceRecord> &Rows = In[I];
+      fetchShuffleInputs(In, I, Reduce.Exec[I]);
+    const std::vector<SourceRecord> &Rows = In[I];
+    if (R->Op == OpKind::GroupByKey) {
+      std::map<int64_t, std::vector<double>> Groups;
+      for (const SourceRecord &Row : Rows)
+        Groups[Row.Key].push_back(Row.Val);
+      GcRoot Arr(H, AllocOutput(Groups.size()));
+      uint32_t Index = 0;
+      for (const auto &[K, Values] : Groups) {
+        // CompactBuffer (Fig 1): tuple -> reference array -> boxed value
+        // objects. The indirection is load-bearing: reading a cached
+        // grouped RDD is a pointer chase, exactly like the paper's
+        // String-element buffers.
+        GcRoot Buf(H, H.allocRefArray(static_cast<uint32_t>(Values.size())));
+        for (uint32_t J = 0; J != Values.size(); ++J) {
+          ObjRef Box = Ctx.makeBox(Values[J]);
+          H.storeRef(Buf.get(), J, Box);
+        }
+        ObjRef T = Ctx.makeTupleWithRef(K, 0.0, Buf.get());
+        H.storeRef(Arr.get(), Index++, T);
+      }
+      H.storeRef(Dir.get(), I, Arr.get());
+      return;
+    }
+    // Every other reduce emits flat (key, value) tuples.
+    std::vector<SourceRecord> Output;
     switch (R->Op) {
     case OpKind::ReduceByKey: {
       std::map<int64_t, double> Agg;
@@ -1394,117 +1322,48 @@ void SparkContext::materializeWide(const RddRef &R) {
         if (!New)
           It->second = R->Combine(It->second, Row.Val);
       }
-      if (Tag != MemTag::None)
-        H.setPendingArrayTag(Tag, R->Id);
-      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Agg.size()));
-      H.setPendingArrayTag(MemTag::None, 0);
-      H.header(ArrRaw.addr())->RddId = R->Id;
-      GcRoot Arr(H, ArrRaw);
-      uint32_t Index = 0;
-      for (const auto &[K, V] : Agg) {
-        ObjRef T = Ctx.makeTuple(K, V);
-        H.storeRef(Arr.get(), Index++, T);
-      }
-      H.storeRef(Dir.get(), I, Arr.get());
-      break;
-    }
-    case OpKind::GroupByKey: {
-      std::map<int64_t, std::vector<double>> Groups;
-      for (const SourceRecord &Row : Rows)
-        Groups[Row.Key].push_back(Row.Val);
-      if (Tag != MemTag::None)
-        H.setPendingArrayTag(Tag, R->Id);
-      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Groups.size()));
-      H.setPendingArrayTag(MemTag::None, 0);
-      H.header(ArrRaw.addr())->RddId = R->Id;
-      GcRoot Arr(H, ArrRaw);
-      uint32_t Index = 0;
-      for (const auto &[K, Values] : Groups) {
-        // CompactBuffer (Fig 1): tuple -> reference array -> boxed value
-        // objects. The indirection is load-bearing: reading a cached
-        // grouped RDD is a pointer chase, exactly like the paper's
-        // String-element buffers.
-        ObjRef Buf =
-            H.allocRefArray(static_cast<uint32_t>(Values.size()));
-        {
-          GcRoot BufRoot(H, Buf);
-          for (uint32_t J = 0; J != Values.size(); ++J) {
-            ObjRef Box = Ctx.makeBox(Values[J]);
-            H.storeRef(BufRoot.get(), J, Box);
-          }
-          ObjRef T = Ctx.makeTupleWithRef(K, 0.0, BufRoot.get());
-          H.storeRef(Arr.get(), Index++, T);
-        }
-      }
-      H.storeRef(Dir.get(), I, Arr.get());
+      for (const auto &[K, V] : Agg)
+        Output.push_back({K, V});
       break;
     }
     case OpKind::Distinct: {
       std::map<std::pair<int64_t, int64_t>, bool> Seen;
-      std::vector<SourceRecord> Unique;
       for (const SourceRecord &Row : Rows) {
         int64_t Bits;
         std::memcpy(&Bits, &Row.Val, sizeof(Bits));
         if (Seen.emplace(std::make_pair(Row.Key, Bits), true).second)
-          Unique.push_back(Row);
+          Output.push_back(Row);
       }
-      if (Tag != MemTag::None)
-        H.setPendingArrayTag(Tag, R->Id);
-      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Unique.size()));
-      H.setPendingArrayTag(MemTag::None, 0);
-      H.header(ArrRaw.addr())->RddId = R->Id;
-      GcRoot Arr(H, ArrRaw);
-      for (uint32_t J = 0; J != Unique.size(); ++J) {
-        ObjRef T = Ctx.makeTuple(Unique[J].Key, Unique[J].Val);
-        H.storeRef(Arr.get(), J, T);
-      }
-      H.storeRef(Dir.get(), I, Arr.get());
       break;
     }
     case OpKind::SortByKey:
-    case OpKind::Repartition: {
+    case OpKind::Repartition:
       // Sort a copy, never In[I] itself: the buckets are the shuffle's
       // data plane, which replica byte-verification (and any retry or
       // speculative re-run that re-fetches) checks against -- the reduce
       // body must leave it exactly as the map side wrote it.
-      std::vector<SourceRecord> Output = Rows;
+      Output = Rows;
       if (R->Op == OpKind::SortByKey)
         std::sort(Output.begin(), Output.end(),
                   [](const SourceRecord &A, const SourceRecord &B) {
                     return A.Key != B.Key ? A.Key < B.Key : A.Val < B.Val;
                   });
-      if (Tag != MemTag::None)
-        H.setPendingArrayTag(Tag, R->Id);
-      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Output.size()));
-      H.setPendingArrayTag(MemTag::None, 0);
-      H.header(ArrRaw.addr())->RddId = R->Id;
-      GcRoot Arr(H, ArrRaw);
-      for (uint32_t J = 0; J != Output.size(); ++J) {
-        ObjRef T = Ctx.makeTuple(Output[J].Key, Output[J].Val);
-        H.storeRef(Arr.get(), J, T);
-      }
-      H.storeRef(Dir.get(), I, Arr.get());
       break;
-    }
     default:
       PANTHERA_CHECK(false, "not a materializing wide op");
     }
-    }, nullptr, Clstr ? &ReduceExec[I] : nullptr);
-    if (Clstr)
-      Clstr->recordPartitionLocation(R->Id, I, ReduceExec[I]);
-  }
+    GcRoot Arr(H, AllocOutput(Output.size()));
+    for (uint32_t J = 0; J != Output.size(); ++J) {
+      ObjRef T = Ctx.makeTuple(Output[J].Key, Output[J].Val);
+      H.storeRef(Arr.get(), J, T);
+    }
+    H.storeRef(Dir.get(), I, Arr.get());
+  });
   if (Clstr) {
     Clstr->endShuffle();
     ClusterShuffle = ActiveClusterShuffle();
   }
-
-  ObjRef Top = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/0);
-  heap::ObjectHeader *TopHdr = H.header(Top.addr());
-  TopHdr->RddId = R->Id;
-  if (Tag != MemTag::None)
-    TopHdr->setMemTag(Tag);
-  H.storeRef(Top, 0, Dir.get());
-  installMaterialized(R, Top);
+  installMaterialized(R, Dir, Tag);
 }
 
 //===----------------------------------------------------------------------===
@@ -1615,7 +1474,6 @@ void SparkContext::recomputeLostMapOutputs(Buckets &In) {
     // Re-register on a live executor, checking the recomputation against
     // the intact data plane: lineage must reproduce the records exactly.
     unsigned E = Clstr->placeTask(Clstr->splitOwner(M));
-    ClusterShuffle.MapExec[M] = E;
     for (uint32_t T = 0; T != P; ++T) {
       const cluster::BlockInfo &B = Clstr->mapOutput(M, T);
       PANTHERA_CHECK(B.Records == Staged[T].size(),

@@ -169,15 +169,75 @@ TEST(ClusterSim, ZeroCopyFlagIsInertWithoutSharedHosts) {
   EXPECT_EQ(B.Trace, A.Trace);
 }
 
-TEST(ClusterSim, FixedExecutorCountIsThreadInvariant) {
-  // The runtime has no worker threads left; two runs at a fixed executor
-  // count must still export byte-identical documents.
+TEST(ClusterSim, FixedExecutorCountIsDeterministic) {
+  // Two runs at a fixed executor count must export byte-identical
+  // documents.
   RunOut A = runPipeline(clusterConfig(3));
   RunOut B = runPipeline(clusterConfig(3));
   EXPECT_DOUBLE_EQ(B.Checksum, A.Checksum);
   EXPECT_DOUBLE_EQ(B.TotalNs, A.TotalNs);
   EXPECT_EQ(B.Metrics, A.Metrics);
   EXPECT_EQ(B.Trace, A.Trace);
+}
+
+TEST(ClusterSim, EveryPlacedStageKindKeepsItsPlacement) {
+  // One pipeline through every placed stage kind on three executors with
+  // an off-heap tier: OFF_HEAP, DISK_ONLY and MEMORY_ONLY_SER persists
+  // materialize standalone, the MEMORY_ONLY persist fuses into the first
+  // shuffle's map pass, the second shuffle maps an unpersisted chain, and
+  // both reduce. The checksum and placement/fetch counters are pinned, so
+  // any change to how stage tasks are placed or recorded shows up here.
+  rdd::SourceData Data(12);
+  for (int64_t I = 0; I != 24000; ++I)
+    Data[static_cast<size_t>(I) % Data.size()].push_back(
+        {I % 257, static_cast<double>(I % 31) * 0.5});
+  core::RuntimeConfig Config = clusterConfig(3);
+  Config.OffHeapMB = 64;
+  Config.Engine.NumPartitions = 12;
+  core::Runtime RT(Config);
+  using rdd::StorageLevel;
+  rdd::Rdd Cached =
+      RT.ctx()
+          .source(&Data)
+          .mapValues([](double V) { return V + 1.0; })
+          .persistAs("offheap", StorageLevel::OffHeapSer)
+          .mapValues([](double V) { return V * 2.0; })
+          .persistAs("disk", StorageLevel::DiskOnly)
+          .mapValues([](double V) { return V - 0.25; })
+          .persistAs("ser", StorageLevel::MemoryOnlySer)
+          .mapValues([](double V) { return V * 0.5; })
+          .persistAs("deser", StorageLevel::MemoryOnly);
+  rdd::Rdd Out =
+      Cached.reduceByKey([](double A, double B) { return A + B; })
+          .mapValues([](double V) { return V + 3.0; })
+          .reduceByKey([](double A, double B) { return A * 0.5 + B; });
+  double Checksum = 0.0;
+  int64_t Pos = 0;
+  for (const rdd::SourceRecord &R : Out.collect())
+    Checksum += static_cast<double>(R.Key) * static_cast<double>(Pos++) + R.Val;
+  EXPECT_EQ(Cached.count(), 24000);
+
+  // Each kind ran as its own stage: four standalone materializations, the
+  // fused map (its tasks carry the materialization's name), the unfused
+  // map, and two reduces.
+  std::string Trace = RT.traceJson();
+  for (const char *Stage :
+       {"materialize mapValues 'offheap'", "materialize mapValues 'disk'",
+        "materialize mapValues 'ser'", "materialize mapValues 'deser'",
+        "shuffle mapValues 'deser'", "shuffle map mapValues",
+        "reduce reduceByKey"})
+    EXPECT_NE(Trace.find(Stage), std::string::npos) << Stage;
+  EXPECT_EQ(Trace.find("shuffle map mapValues 'deser'"), std::string::npos);
+
+  EXPECT_DOUBLE_EQ(Checksum, 4495990.5);
+  ASSERT_NE(RT.clusterSim(), nullptr);
+  const cluster::ClusterStats &CS = RT.clusterSim()->stats();
+  EXPECT_EQ(CS.ProcessLocalTasks, 62u);
+  EXPECT_EQ(CS.AnyTasks, 22u);
+  EXPECT_EQ(CS.DelayedFallbacks, 7u);
+  EXPECT_EQ(CS.BlocksStored, 288u);
+  EXPECT_EQ(CS.LocalBlocksFetched, 77u);
+  EXPECT_EQ(CS.RemoteBlocksFetched, 79u);
 }
 
 TEST(ClusterSim, ExecutorLossRecoversIdenticalResults) {

@@ -275,9 +275,8 @@ TEST(DynamicPolicy, ChecksumMatchesEveryOtherPolicy) {
                    Reference);
 }
 
-TEST(DynamicPolicy, DeterministicAcrossThreadCounts) {
-  // The runtime has no worker threads left; two runs of one configuration
-  // must still export byte-identical documents.
+TEST(DynamicPolicy, DeterministicAcrossRuns) {
+  // Two runs of one configuration must export byte-identical documents.
   RunResult First = runSw(gc::PolicyKind::PantheraDynamic);
   RunResult Second = runSw(gc::PolicyKind::PantheraDynamic);
   EXPECT_DOUBLE_EQ(First.Checksum, Second.Checksum);

@@ -179,8 +179,8 @@ Exports runWorkload(
   EXPECT_NE(Spec, nullptr);
   core::RuntimeConfig Config;
   Config.Policy = gc::PolicyKind::Panthera;
-  Config.AccessPath = Path;
   core::Runtime RT(Config);
+  RT.memory().setAccessPath(Path);
   Spec->Run(RT, /*Scale=*/0.4);
   return {RT.metricsJson(), RT.traceJson()};
 }
@@ -230,16 +230,15 @@ TEST(Observability, WorkloadPopulatesMetricsAndTrace) {
   EXPECT_TRUE(SawGc);
 }
 
-TEST(Observability, ExportsAreByteIdenticalAcrossThreadCounts) {
-  // The runtime has no worker threads left; two runs must still export
-  // byte-identical documents.
+TEST(Observability, ExportsAreByteIdenticalAcrossRuns) {
+  // Two runs of one configuration must export byte-identical documents.
   Exports Ref = runWorkload("PR");
   Exports Got = runWorkload("PR");
   EXPECT_EQ(Ref.Metrics, Got.Metrics);
   EXPECT_EQ(Ref.Trace, Got.Trace);
 }
 
-TEST(Observability, AccessPathExportsAreByteIdenticalAtEveryThreadCount) {
+TEST(Observability, AccessPathExportsAreByteIdentical) {
   // A full workload driven through the batched access path must export
   // metrics and trace JSON byte-identical to the per-line reference path.
   Exports Batched = runWorkload("PR", memsim::AccessPathMode::Batched);
@@ -456,7 +455,7 @@ TEST(Regression, IncrementalPauseAccountingMatchesGcTime) {
   EXPECT_NEAR(HistoSum, R.GcNs, 1e-6 * R.GcNs);
 }
 
-TEST(Regression, IncrementalMarkingKeepsResultsAndThreadInvariance) {
+TEST(Regression, IncrementalMarkingKeepsResultsAndDeterminism) {
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("PR");
   ASSERT_NE(Spec, nullptr);
   auto Run = [&](uint32_t MaxPauseUs) {

@@ -334,7 +334,7 @@ TEST_F(OffHeapTest, TierlessRunExportsNoOffHeapKeys) {
   EXPECT_EQ(RT->metricsJson().find("offheap."), std::string::npos);
 }
 
-TEST_F(OffHeapTest, ChecksumInvariantAcrossThreadsAndExecutors) {
+TEST_F(OffHeapTest, ChecksumInvariantAcrossExecutors) {
   auto SumWith = [&](unsigned Executors) {
     makeRuntime(/*OffHeapMB=*/256, Executors);
     SourceData Data = makeData(4000);

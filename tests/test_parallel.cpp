@@ -7,7 +7,7 @@
 /// The runtime runs on the calling thread (docs/parallelism.md). This test
 /// pins the results and the simulated clock of one narrow-stage pipeline
 /// to exact figures, which the earlier work-stealing collector produced at
-/// 1 and 4 worker threads alike; the suite name records that contract.
+/// 1 and 4 worker threads alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,7 +80,7 @@ NarrowStageObservation runNarrowStages(SourceData &Data) {
   return Obs;
 }
 
-TEST(ThreadCountInvariance, NarrowSourceStagesKeepTheirClock) {
+TEST(PinnedFigures, NarrowSourceStagesKeepTheirClock) {
   SourceData Data = makeData(20000);
   NarrowStageObservation Obs = runNarrowStages(Data);
   EXPECT_EQ(Obs.Count, 13333);

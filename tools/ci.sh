@@ -35,18 +35,14 @@ for f in m1 t1; do
 done
 echo "ci: observability exports valid"
 
-# Memsim access-path smoke (docs/memsim.md): the batched fast path must
-# be bit-identical to the per-line reference -- same metrics and trace
-# bytes for a full workload -- and the micro benchmark enforces its own
-# >= 10x hot-path throughput floor (BENCH_hotpath.json).
+# Memsim access-path smoke (docs/memsim.md): the micro benchmark checks
+# the batched fast path against the per-line reference and enforces its
+# own >= 10x hot-path throughput floor (BENCH_hotpath.json). The
+# whole-workload byte-diff of the two paths is a ctest test
+# (Observability.AccessPathExportsAreByteIdentical).
 echo "=== memsim access-path smoke ==="
-./build/tools/panthera_sim --workload=PR --scale=0.1 \
-  --memsim-path=per-line --metrics-json="${obs}/pl.json" \
-  --trace-json="${obs}/plt.json" >/dev/null
-cmp "${obs}/m1.json" "${obs}/pl.json"
-cmp "${obs}/t1.json" "${obs}/plt.json"
 (cd "${obs}" && "${OLDPWD}/build/bench/micro_memsim")
-echo "ci: batched path bit-identical to per-line, throughput floor met"
+echo "ci: batched path matches per-line, throughput floor met"
 
 # 10x-scale smoke: the fast path is what makes double-digit scale factors
 # tractable; one fig4 cell at scale 10 must finish inside a CI-friendly

@@ -209,14 +209,7 @@ int main(int Argc, char **Argv) {
         return BadFlag(A, "on or off");
     } else if (std::strcmp(A, "--no-zero-copy-shuffle") == 0)
       Config.Cluster.ZeroCopyShuffle = false;
-    else if (const char *V = Val("--memsim-path=")) {
-      if (std::strcmp(V, "batched") == 0)
-        Config.AccessPath = memsim::AccessPathMode::Batched;
-      else if (std::strcmp(V, "per-line") == 0)
-        Config.AccessPath = memsim::AccessPathMode::PerLine;
-      else
-        return BadFlag(A, "batched or per-line");
-    } else if (const char *V = Val("--epoch-ns=")) {
+    else if (const char *V = Val("--epoch-ns=")) {
       if (!support::parseF64(V, 1.0, 1e15, F))
         return BadFlag(A, "an epoch length in simulated ns >= 1");
       Config.EpochNs = F;
@@ -329,9 +322,6 @@ int main(int Argc, char **Argv) {
           "                     serialization + fabric charges (default\n"
           "                     on; inert until --hosts co-locates)\n"
           "  --no-zero-copy-shuffle  same as --zero-copy-shuffle=off\n"
-          "  --memsim-path=P    memory-simulator implementation: batched\n"
-          "                     (default fast path) or per-line (the\n"
-          "                     reference loop; bit-identical output)\n"
           "  --epoch-ns=NS      bandwidth-trace bucket length in simulated\n"
           "                     ns (default 100000)\n"
           "  --list             list workloads and exit\n");
